@@ -7,24 +7,24 @@ modifications to DineroIII allow it to ... classify misses as compulsory,
 capacity, or conflict in a single run").
 
 * :class:`CacheConfig` — geometry of one cache (size, line, associativity).
-* :class:`SetAssociativeCache` — LRU set-associative cache over line numbers.
-* :class:`FullyAssociativeLRU` — equal-capacity shadow cache used to split
-  capacity from conflict misses (Hill & Smith's classification).
-* :class:`ClassifyingCache` — one level with full statistics.
+* :class:`ClassifyingCache` — one level: an LRU set-associative cache and
+  the equal-capacity fully-associative shadow that splits capacity from
+  conflict misses (Hill & Smith's classification), driven a batch at a
+  time by :meth:`ClassifyingCache.process`.
 * :class:`CacheHierarchy` — split L1 I/D plus a unified L2, matching the
   SGI machines in the paper.
+
+The per-access, list-based model of the same semantics lives only in
+:mod:`repro.cache.reference`, the executable spec the tests hold the
+batched kernel to.
 """
 
 from repro.cache.config import CacheConfig
-from repro.cache.set_assoc import SetAssociativeCache
-from repro.cache.fully_assoc import FullyAssociativeLRU
 from repro.cache.classify import ClassifyingCache, LevelStats
 from repro.cache.hierarchy import CacheHierarchy, HierarchyStats
 
 __all__ = [
     "CacheConfig",
-    "SetAssociativeCache",
-    "FullyAssociativeLRU",
     "ClassifyingCache",
     "LevelStats",
     "CacheHierarchy",

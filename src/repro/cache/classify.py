@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cache.config import CacheConfig
-from repro.cache.fully_assoc import FullyAssociativeLRU
-from repro.cache.set_assoc import SetAssociativeCache
 
 
 @dataclass
@@ -66,49 +64,27 @@ class LevelStats:
 
 @dataclass
 class ClassifyingCache:
-    """A set-associative cache paired with its classification shadow."""
+    """A set-associative LRU cache paired with its classification shadow.
+
+    Both LRU structures are insertion-ordered dicts, least recently used
+    first: ``sets`` holds one dict per set, and ``shadow`` is the
+    fully-associative LRU of equal capacity.  The per-access model of
+    the same semantics is :mod:`repro.cache.reference`.
+    """
 
     config: CacheConfig
     stats: LevelStats = field(default_factory=LevelStats)
 
     def __post_init__(self) -> None:
-        self.real = SetAssociativeCache(self.config)
-        self.shadow = FullyAssociativeLRU(self.config.num_lines)
+        self.set_mask = self.config.num_sets - 1
+        self.sets: list[dict[int, None]] = [{} for _ in range(self.config.num_sets)]
+        self.shadow: dict[int, None] = {}
+        self.shadow_capacity = self.config.num_lines
         self._seen: set[int] = set()
         #: Misses of the fully-associative shadow (including shadow
         #: misses on real-cache hits, which the classification ignores).
         #: Feeds the cache oracle's LRU stack-inclusion check.
         self.shadow_misses = 0
-
-    def access(self, line: int) -> bool:
-        """Reference one line; update statistics; return ``True`` on hit."""
-        self.stats.accesses += 1
-        shadow_hit = self.shadow.access(line)
-        if not shadow_hit:
-            self.shadow_misses += 1
-        if self.real.access(line):
-            return True
-        self.stats.misses += 1
-        if line not in self._seen:
-            self._seen.add(line)
-            self.stats.compulsory += 1
-        elif not shadow_hit:
-            self.stats.capacity += 1
-        else:
-            self.stats.conflict += 1
-        return False
-
-    def access_run(self, line: int, count: int) -> bool:
-        """Reference ``line`` ``count`` times consecutively.
-
-        Only the first access can miss — the rest are guaranteed hits
-        because nothing intervenes to evict the line — so a run-length
-        compressed trace is processed exactly, not approximately.
-        """
-        hit = self.access(line)
-        if count > 1:
-            self.stats.accesses += count - 1
-        return hit
 
     def process(self, lines: list[int], counts: list[int] | None = None) -> list[int]:
         """Process a batch of line references; return the lines that missed.
@@ -118,10 +94,9 @@ class ClassifyingCache:
         consecutive references entry ``i`` stands for.  The returned miss
         list preserves order and multiplicity, ready to feed the next level.
 
-        This is the simulator's hot loop; it inlines the logic of
-        :meth:`access` with locals bound outside the loop, and is tuned
-        four ways (each guarded by the golden-equivalence suite against
-        :mod:`repro.cache.reference`):
+        This is the simulator's hot loop, with locals bound outside the
+        loop, and is tuned four ways (each guarded by the
+        golden-equivalence suite against :mod:`repro.cache.reference`):
 
         * the access total is the batch's length (or ``sum(counts)``),
           hoisted out of the loop entirely instead of accumulated per
@@ -140,10 +115,10 @@ class ClassifyingCache:
         """
         stats = self.stats
         seen = self._seen
-        shadow_lines = self.shadow._lines
-        shadow_capacity = self.shadow.capacity
-        sets = self.real._sets
-        set_mask = self.real._set_mask
+        shadow_lines = self.shadow
+        shadow_capacity = self.shadow_capacity
+        sets = self.sets
+        set_mask = self.set_mask
         associativity = self.config.associativity
         misses: list[int] = []
         misses_append = misses.append
@@ -240,8 +215,9 @@ class ClassifyingCache:
         models losing residency, not forgetting that a line was ever
         touched.
         """
-        self.real.flush()
-        self.shadow.flush()
+        for cache_set in self.sets:
+            cache_set.clear()
+        self.shadow.clear()
 
     def reset(self) -> None:
         """Empty the caches and zero all statistics and history."""
@@ -255,3 +231,24 @@ class ClassifyingCache:
         """Distinct lines referenced since the last :meth:`reset` — always
         equal to the compulsory miss count (a useful test invariant)."""
         return len(self._seen)
+
+    def set_violations(self) -> list[str]:
+        """Broken set-associative LRU invariants (empty when sound): a set
+        over its associativity, or a line stored in a set it does not map
+        to.  O(cache size) — for the oracle's audits, not the access path."""
+        ways, mask = self.config.associativity, self.set_mask
+        violations = []
+        for index, cache_set in enumerate(self.sets):
+            if len(cache_set) > ways:
+                violations.append(f"set {index} holds {len(cache_set)} lines (associativity {ways})")
+            for line in cache_set:
+                if line & mask != index:
+                    violations.append(f"line {line:#x} stored in set {index}, maps to set {line & mask}")
+        return violations
+
+    def shadow_violations(self) -> list[str]:
+        """Broken shadow invariants: over-occupancy is the only one a dict
+        can break (duplicates are impossible by construction)."""
+        if len(self.shadow) > self.shadow_capacity:
+            return [f"holds {len(self.shadow)} lines (capacity {self.shadow_capacity})"]
+        return []

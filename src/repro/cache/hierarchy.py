@@ -94,13 +94,19 @@ class CacheHierarchy:
     # ``_access_data_instrumented`` as an instance attribute, which
     # shadows the class method until the last sidecar detaches.
 
-    def _rebind_access_data(self) -> None:
-        if (
+    @property
+    def has_sidecars(self) -> bool:
+        """Whether any sidecar is attached (so ``access_data`` is the
+        instrumented variant)."""
+        return (
             self._oracle is not None
             or self._observer is not None
             or self._profiler is not None
             or self._tap is not None
-        ):
+        )
+
+    def _rebind_access_data(self) -> None:
+        if self.has_sidecars:
             self.access_data = self._access_data_instrumented
         else:
             self.__dict__.pop("access_data", None)
@@ -164,8 +170,9 @@ class CacheHierarchy:
         lines: list[int],
         counts: list[int] | None = None,
         writes: int = 0,
-    ) -> None:
-        """Simulate a batch of data references.
+    ) -> tuple[list[int], list[int]]:
+        """Simulate a batch of data references; return its L1 and L2
+        miss lines (L2 lines as the L2 saw them).
 
         Parameters
         ----------
@@ -186,71 +193,49 @@ class CacheHierarchy:
         self._data_reads += total - writes
         self._data_writes += writes
         l1_misses = self.l1d.process(lines, counts)
-        if l1_misses:
-            shift = self._l2_shift
-            if shift:
-                l2_lines = [line >> shift for line in l1_misses]
-            else:
-                l2_lines = l1_misses
-            mapper = self.l2_page_mapper
-            if mapper is not None:
-                bits = self.l2.config.line_bits
-                l2_lines = [
-                    mapper.translate_line(line, bits) for line in l2_lines
-                ]
-            self.l2.process(l2_lines)
+        if not l1_misses:
+            return l1_misses, []
+        shift = self._l2_shift
+        if shift:
+            l2_lines = [line >> shift for line in l1_misses]
+        else:
+            l2_lines = l1_misses
+        mapper = self.l2_page_mapper
+        if mapper is not None:
+            bits = self.l2.config.line_bits
+            l2_lines = [mapper.translate_line(line, bits) for line in l2_lines]
+        return l1_misses, self.l2.process(l2_lines)
+
+    #: The plain kernel for the instrumented variant, which shadows
+    #: ``access_data`` on the instance; a wrapper on the class attribute
+    #: (simbench's layer tracer) then still sees each batch once.
+    _access_data_plain = access_data
 
     def _access_data_instrumented(
         self,
         lines: list[int],
         counts: list[int] | None = None,
         writes: int = 0,
-    ) -> None:
+    ) -> tuple[list[int], list[int]]:
         """:meth:`access_data` plus the sidecar hooks.
 
         Installed as the instance's ``access_data`` while any sidecar is
-        attached (see :meth:`_rebind_access_data`).  The cache work must
-        stay line-for-line identical to the plain method — a test pins
-        the two variants to the same statistics — so that attaching a
-        sidecar changes *observation*, never *simulation*.
+        attached (see :meth:`_rebind_access_data`): the tap sees the
+        batch first, then the plain kernel simulates it, then the
+        oracle, observer and profiler look at the result.  The cache work
+        is the plain kernel's own, so attaching a sidecar changes
+        *observation*, never *simulation*.
         """
         if self._tap is not None:
             self._tap.on_access(lines, counts, writes)
-        total = sum(counts) if counts is not None else len(lines)
-        if writes > total:
-            raise ValueError(f"writes={writes} exceeds total references {total}")
-        self._data_reads += total - writes
-        self._data_writes += writes
-        l1_misses = self.l1d.process(lines, counts)
-        if l1_misses:
-            shift = self._l2_shift
-            if shift:
-                l2_lines = [line >> shift for line in l1_misses]
-            else:
-                l2_lines = l1_misses
-            mapper = self.l2_page_mapper
-            if mapper is not None:
-                bits = self.l2.config.line_bits
-                l2_lines = [
-                    mapper.translate_line(line, bits) for line in l2_lines
-                ]
-            l2_misses = self.l2.process(l2_lines)
+        l1_misses, l2_misses = self._access_data_plain(lines, counts, writes)
         if self._oracle is not None:
             self._oracle.after_batch(self)
         if self._observer is not None:
             self._observer.on_batch(self)
         if self._profiler is not None:
-            # ``l2_misses`` is only bound when L1 missed; the conditional
-            # expression never evaluates it on the all-hits path.
-            self._profiler.on_batch(
-                self,
-                lines,
-                counts,
-                writes,
-                total,
-                l1_misses,
-                l2_misses if l1_misses else [],
-            )
+            self._profiler.on_batch(self, lines, counts, writes, l1_misses, l2_misses)
+        return l1_misses, l2_misses
 
     def fetch_instructions(self, count: int) -> None:
         """Record ``count`` instruction fetches (counted, not simulated)."""

@@ -1,7 +1,7 @@
 """Reference cache model: naive, per-line, list-based — the executable spec.
 
-The production kernel (:mod:`repro.cache.set_assoc`,
-:meth:`repro.cache.classify.ClassifyingCache.process`) is tuned for
+The production kernel
+(:meth:`repro.cache.classify.ClassifyingCache.process`) is tuned for
 throughput — dict-per-set LRU, hoisted access accounting, a run-length
 hit fast path, a dedicated direct-mapped loop.  Optimized hot loops rot
 silently, so this module keeps a maximally transparent implementation

@@ -42,7 +42,8 @@ def run_versions(
     program always runs live — for versions named in
     ``payload_versions`` (their numeric payload is consumed downstream;
     replay reproduces statistics, not payloads), when verification is
-    armed (the oracles audit *live* per-batch state), and when a
+    armed (replay runs no scheduler, so the scheduler oracle and the
+    guarded-package checks would silently not run), and when a
     locality-profiling collector is active (attribution needs the live
     fork-site context).
     """

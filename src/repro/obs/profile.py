@@ -174,11 +174,11 @@ class LocalityProfiler:
         lines: list[int],
         counts: list[int] | None,
         writes: int,
-        total: int,
         l1_misses: list[int],
         l2_misses: list[int],
     ) -> None:
         """Charge one processed access batch to the current context."""
+        total = sum(counts) if counts is not None else len(lines)
         key = (self._site, self._bin)
         context = self._contexts.get(key)
         if context is None:
@@ -287,7 +287,7 @@ class LocalityProfiler:
         """Who owns which fraction of one cache level right now."""
         num_lines = level.config.num_lines
         if level_name == "l2" and hierarchy.l2_page_mapper is not None:
-            resident = sum(len(s) for s in level.real._sets)
+            resident = sum(len(s) for s in level.sets)
             if not resident:
                 return {}
             return {TRANSLATED: round(resident / num_lines, 6)}
@@ -298,7 +298,7 @@ class LocalityProfiler:
         bases = self._bases
         ends = self._ends
         folded = self._folded
-        for cache_set in level.real._sets:
+        for cache_set in level.sets:
             for line in cache_set:
                 address = line << shift
                 i = bisect_right(bases, address) - 1

@@ -4,47 +4,21 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.machine.spec import MachineSpec
 from repro.machine.timing import TimingInputs, TimingModel
 from repro.mem.allocator import AddressSpace
 from repro.obs.config import resolve_telemetry
-from repro.obs.profile import current_collector
+from repro.obs.profile import LocalityProfiler, current_collector
 from repro.obs.telemetry import Telemetry
 from repro.resilience.errors import ReproError, SimulationError
 from repro.resilience.faults import fault_point
 from repro.sim.context import SimContext
 from repro.sim.result import SimResult
 from repro.trace.recorder import TraceRecorder
+from repro.trace.replay import replay_into
 from repro.verify.config import resolve_verify
 
 TracedProgram = Callable[[SimContext], Any]
-
-#: Replay chunk size: stored batches are coalesced until at least this
-#: many run-length entries accumulate, then fed as one kernel batch.
-REPLAY_CHUNK_LINES = 1 << 16
-
-
-def _chunk_batches(ends) -> list[int]:
-    """Batch-index cut points whose chunks hold >= REPLAY_CHUNK_LINES
-    entries each (except the last).  Returned values are exclusive batch
-    indices; ``ends[cut - 1]`` is the chunk's end position."""
-    total_batches = len(ends)
-    if total_batches == 0:
-        return []
-    total_lines = int(ends[-1])
-    targets = np.arange(
-        REPLAY_CHUNK_LINES,
-        total_lines + REPLAY_CHUNK_LINES,
-        REPLAY_CHUNK_LINES,
-        dtype=np.int64,
-    )
-    cuts = np.unique(np.searchsorted(ends, targets, side="left") + 1)
-    cuts = cuts[cuts <= total_batches].tolist()
-    if not cuts or cuts[-1] != total_batches:
-        cuts.append(total_batches)
-    return cuts
 
 
 class Simulator:
@@ -111,18 +85,9 @@ class Simulator:
             raise ValueError(
                 "trace capture does not support an L2 page mapper"
             )
-        verify_run = resolve_verify(verify, self.verify)
-        obs = resolve_telemetry(telemetry, self.telemetry)
-        fault_point("sim.run", machine=self.machine.name, program=program_name)
-        bus = obs.bus
-        base_depth = bus.depth()
-        if obs.enabled:
-            bus.begin(
-                "sim.run", machine=self.machine.name, program=program_name
-            )
-            bus.begin("sim.setup")
-        try:
-            hierarchy = self.machine.build_hierarchy(l2_page_mapper)
+
+        def feed(hierarchy, obs, verify_run) -> dict[str, Any]:
+            hierarchy.l2_page_mapper = l2_page_mapper
             if capture is not None:
                 hierarchy.tap = capture
             recorder = TraceRecorder(hierarchy)
@@ -138,108 +103,50 @@ class Simulator:
                 verify=verify_run,
                 obs=obs,
             )
-            if verify_run:
-                from repro.verify.cache_oracle import CacheOracle
-
-                hierarchy.oracle = CacheOracle(
-                    machine=self.machine.name, program=program_name
-                )
-                hierarchy.oracle.obs = obs
-            sampler = None
-            if obs.enabled:
-                from repro.obs.sampler import CacheSampler
-
-                sampler = CacheSampler(obs, program=program_name)
-                hierarchy.observer = sampler
-            profiler = None
-            collector = current_collector()
-            if collector is not None:
-                from repro.obs.profile import LocalityProfiler
-
-                profiler = LocalityProfiler(
+            if current_collector() is not None:
+                context.profiler = hierarchy.profiler = LocalityProfiler(
                     program=program_name,
                     machine=self.machine.name,
                     space=space,
                     obs=obs,
                 )
-                hierarchy.profiler = profiler
-                context.profiler = profiler
-            if code_footprint:
-                hierarchy.charge_code_footprint(code_footprint)
-            if obs.enabled:
-                bus.end()  # sim.setup
-                bus.begin("sim.program")
-            try:
-                payload = program(context)
-            except ReproError:
-                raise  # already structured (e.g. an armed fault at an inner site)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                raise SimulationError(
-                    f"{type(exc).__name__}: {exc}",
-                    machine=self.machine.name,
-                    program=program_name,
-                ) from exc
-            finally:
-                if obs.enabled:
-                    bus.end()  # sim.program
-            if verify_run and hierarchy.oracle is not None:
-                with bus.span("verify.final_check"):
-                    hierarchy.oracle.final_check(hierarchy)
+            with obs.bus.span("sim.program"):
+                try:
+                    payload = program(context)
+                except ReproError:
+                    raise  # already structured (e.g. an armed fault at an inner site)
+                except (KeyboardInterrupt, SystemExit):
+                    raise
+                except Exception as exc:
+                    raise SimulationError(
+                        f"{type(exc).__name__}: {exc}",
+                        machine=self.machine.name,
+                        program=program_name,
+                    ) from exc
             thread_faults: list = []
             for package in context.packages:
                 report = getattr(package, "fault_report", None)
                 if report is not None:
                     thread_faults.extend(report())
-            if sampler is not None:
-                sampler.sample(hierarchy)  # flush the tail interval
-            if profiler is not None:
-                profiler.finish(hierarchy)  # flush the tail timeline sample
-                collector.add(profiler)
-            stats = hierarchy.snapshot()
-            time = self.timing.estimate(
-                TimingInputs(
-                    instructions=recorder.app_instructions,
-                    l1_misses=stats.l1.misses,
-                    l2_misses=stats.l2.misses,
-                    forks=context.total_forks,
-                    thread_runs=context.total_dispatches,
-                )
+            # The paper quotes per-run distributions ("64000 threads ... in
+            # 46 bins" for a typical iteration); report the chronologically
+            # last th_run's stats.  Runs are stamped with a process-wide
+            # dispatch sequence, so a program that creates package B but
+            # runs package A last reports A's distribution, not B's.
+            runs = [stats for package in context.packages for stats in package.run_history]
+            sched = max(runs, key=lambda stats: stats.seq, default=None)
+            return dict(
+                app_instructions=recorder.app_instructions,
+                thread_instructions=recorder.thread_instructions,
+                forks=context.total_forks,
+                dispatches=context.total_dispatches,
+                sched=sched,
+                payload=payload,
+                thread_faults=thread_faults,
             )
-        finally:
-            # Close sim.run (and sim.setup, if the program raised inside
-            # it) without touching any enclosing scope's spans.
-            bus.unwind(base_depth)
-        if obs.enabled:
-            metrics = obs.metrics
-            metrics.counter("sim.runs").inc()
-            metrics.counter("sim.forks").inc(context.total_forks)
-            metrics.counter("sim.dispatches").inc(context.total_dispatches)
-            metrics.histogram("sim.modeled_seconds").observe(time.total)
-        # The paper quotes per-run distributions ("64000 threads ... in 46
-        # bins" for a typical iteration); report the chronologically last
-        # th_run's stats.  Runs are stamped with a process-wide dispatch
-        # sequence, so a program that creates package B but runs package A
-        # last reports A's distribution, not B's.
-        sched = max(
-            (stats for package in context.packages for stats in package.run_history),
-            key=lambda stats: stats.seq,
-            default=None,
-        )
-        return SimResult(
-            program=program_name,
-            machine=self.machine.name,
-            stats=stats,
-            app_instructions=recorder.app_instructions,
-            thread_instructions=recorder.thread_instructions,
-            forks=context.total_forks,
-            dispatches=context.total_dispatches,
-            sched=sched,
-            time=time,
-            payload=payload,
-            thread_faults=thread_faults,
-            verified=verify_run,
+
+        return self._simulate(
+            "run", program_name, feed, code_footprint, verify, telemetry
         )
 
     def replay(
@@ -254,33 +161,68 @@ class Simulator:
         The stored stream is the *complete* record of the run's data
         side — every ``access_data`` batch verbatim, boundaries included
         — so feeding it back through a fresh hierarchy reproduces the
-        cache statistics bit for bit.  Instruction fetches only bump
-        order-independent counters, so the stored totals are charged in
-        one call; forks, dispatches and the final scheduling
+        cache statistics bit for bit (:func:`repro.trace.replay.replay_into`
+        picks the vectorized or the chunked path).  Instruction fetches
+        only bump order-independent counters, so the stored totals are
+        charged in one call; forks, dispatches and the final scheduling
         distribution come from the header, which is everything the
         timing model and :class:`SimResult` need.  ``payload`` is
         ``None``: replay reproduces *statistics*, not the program's
-        numeric output.
+        numeric output.  No locality profiler is attached: a stored
+        stream carries no fork-site context.
         """
-        program_name = stored.program
         if stored.machine != self.machine.name:
             raise ValueError(
                 f"stored trace is for machine {stored.machine!r}, "
                 f"not {self.machine.name!r}"
             )
-        if stored.header["line_bits"] != self.machine.l1d.line_bits:
+        header = stored.header
+        if header["line_bits"] != self.machine.l1d.line_bits:
             raise ValueError(
                 "stored trace L1D line size does not match this machine"
             )
+
+        def feed(hierarchy, obs, verify_run) -> dict[str, Any]:
+            replay_into(hierarchy, stored)
+            hierarchy.fetch_instructions(
+                header["app_instructions"] + header["thread_instructions"]
+            )
+            return dict(
+                app_instructions=header["app_instructions"],
+                thread_instructions=header["thread_instructions"],
+                forks=header["forks"],
+                dispatches=header["dispatches"],
+                sched=stored.sched_stats(),
+                payload=None,
+                thread_faults=[],
+            )
+
+        return self._simulate(
+            "replay", stored.program, feed, header["code_footprint"],
+            verify, telemetry,
+        )
+
+    def _simulate(
+        self,
+        kind: str,
+        program_name: str,
+        feed: Callable[..., dict[str, Any]],
+        code_footprint: int,
+        verify: bool | None,
+        telemetry: Telemetry | None,
+    ) -> SimResult:
+        """The pipeline :meth:`run` and :meth:`replay` share: a fresh
+        hierarchy with its oracle and sampler, then
+        ``feed(hierarchy, obs, verify_run)`` drives the data stream and
+        returns the :class:`SimResult` fields only it knows, then the
+        audit, snapshot, timing and metrics."""
         verify_run = resolve_verify(verify, self.verify)
         obs = resolve_telemetry(telemetry, self.telemetry)
         fault_point("sim.run", machine=self.machine.name, program=program_name)
         bus = obs.bus
         base_depth = bus.depth()
-        if obs.enabled:
-            bus.begin(
-                "sim.replay", machine=self.machine.name, program=program_name
-            )
+        bus.begin(f"sim.{kind}", machine=self.machine.name, program=program_name)
+        bus.begin("sim.setup")
         try:
             hierarchy = self.machine.build_hierarchy()
             if verify_run:
@@ -296,83 +238,44 @@ class Simulator:
 
                 sampler = CacheSampler(obs, program=program_name)
                 hierarchy.observer = sampler
-            if stored.header["code_footprint"]:
-                hierarchy.charge_code_footprint(
-                    stored.header["code_footprint"]
-                )
-            from repro.trace.replay import (
-                fast_replay_supported,
-                replay_stream,
-            )
-
-            if fast_replay_supported(hierarchy, stored):
-                # Vectorized path: direct-mapped L1D, no sidecars — the
-                # whole stream as a handful of numpy passes plus the
-                # ordinary L2 kernel over the (much smaller) miss
-                # stream.  Byte-identical to the dict kernel.
-                replay_stream(hierarchy, stored)
-            else:
-                access = hierarchy.access_data
-                lines, counts = stored.lines, stored.counts
-                ends, writes = stored.batch_ends, stored.batch_writes
-                # Merging adjacent batches preserves every statistic —
-                # the expanded reference sequence is unchanged, and the
-                # kernel, L2 forwarding, and read/write bookkeeping
-                # depend only on that sequence — so replay coalesces
-                # the (often tiny) recorded batches into large
-                # contiguous chunks, amortizing per-batch overhead.
-                # The memory-mapped views are sliced per chunk and
-                # handed to the dict-based kernel as lists (its fastest
-                # input form); the file itself is read zero-copy
-                # through the page cache.
-                cuts = _chunk_batches(ends)
-                cum_writes = np.concatenate(
-                    ([0], np.cumsum(writes, dtype=np.int64))
-                )
-                start = prev = 0
-                for cut in cuts:
-                    end = int(ends[cut - 1])
-                    access(
-                        lines[start:end].tolist(),
-                        counts[start:end].tolist(),
-                        int(cum_writes[cut] - cum_writes[prev]),
-                    )
-                    start, prev = end, cut
-            hierarchy.fetch_instructions(
-                stored.header["app_instructions"]
-                + stored.header["thread_instructions"]
-            )
+            if code_footprint:
+                hierarchy.charge_code_footprint(code_footprint)
+            bus.end()  # sim.setup
+            fed = feed(hierarchy, obs, verify_run)
             if verify_run and hierarchy.oracle is not None:
                 with bus.span("verify.final_check"):
                     hierarchy.oracle.final_check(hierarchy)
             if sampler is not None:
-                sampler.sample(hierarchy)
+                sampler.sample(hierarchy)  # flush the tail interval
+            profiler = hierarchy.profiler
+            if profiler is not None:
+                profiler.finish(hierarchy)  # flush the tail timeline sample
+                current_collector().add(profiler)
             stats = hierarchy.snapshot()
             time = self.timing.estimate(
                 TimingInputs(
-                    instructions=stored.header["app_instructions"],
+                    instructions=fed["app_instructions"],
                     l1_misses=stats.l1.misses,
                     l2_misses=stats.l2.misses,
-                    forks=stored.header["forks"],
-                    thread_runs=stored.header["dispatches"],
+                    forks=fed["forks"],
+                    thread_runs=fed["dispatches"],
                 )
             )
         finally:
+            # Close this run's spans (and sim.setup, if it raised inside
+            # it) without touching any enclosing scope's spans.
             bus.unwind(base_depth)
         if obs.enabled:
-            obs.metrics.counter("sim.replays").inc()
-            obs.metrics.histogram("sim.modeled_seconds").observe(time.total)
+            metrics = obs.metrics
+            metrics.counter(f"sim.{kind}s").inc()
+            metrics.counter("sim.forks").inc(fed["forks"])
+            metrics.counter("sim.dispatches").inc(fed["dispatches"])
+            metrics.histogram("sim.modeled_seconds").observe(time.total)
         return SimResult(
             program=program_name,
             machine=self.machine.name,
             stats=stats,
-            app_instructions=stored.header["app_instructions"],
-            thread_instructions=stored.header["thread_instructions"],
-            forks=stored.header["forks"],
-            dispatches=stored.header["dispatches"],
-            sched=stored.sched_stats(),
             time=time,
-            payload=None,
-            thread_faults=[],
             verified=verify_run,
+            **fed,
         )

@@ -1,8 +1,10 @@
-"""Vectorized replay of a stored trace into a cache hierarchy.
+"""Replay of a stored trace into a cache hierarchy.
 
-The dict-based kernel walks a stream one run-length entry at a time;
-replaying a stored trace can do better because everything sequential
-has been lifted out of the loop:
+:func:`replay_into` is where a stored stream meets a hierarchy: in
+large chunks through the ordinary ``access_data`` kernel, or
+vectorized by :func:`replay_stream`.  The dict-based kernel walks a
+stream one run-length entry at a time; replaying a stored trace can do
+better because everything sequential has been lifted out of the loop:
 
 * consecutive-duplicate entries are guaranteed hits with no state
   change, so the stream is deduplicated with one vectorized compare;
@@ -22,10 +24,9 @@ level that sees every reference.  L1 misses still flow through the
 ordinary ``ClassifyingCache.process`` for the L2 (any associativity):
 that stream is one to two orders of magnitude smaller.
 
-Only direct-mapped L1Ds take this path (both paper machines' R8000;
-the R10000's 2-way L1 falls back to the chunked dict-kernel replay in
-:meth:`repro.sim.engine.Simulator.replay`) and only when no sidecar
-(oracle/observer/profiler) needs per-batch hooks.
+Only direct-mapped L1Ds take the fast path (both paper machines'
+R8000; the R10000's 2-way L1 takes the chunked path) and only when no
+sidecar needs per-batch hooks.
 """
 
 from __future__ import annotations
@@ -34,19 +35,70 @@ import numpy as np
 
 from repro.trace.store import StoredTrace, dedup_mask
 
+#: Replay chunk size: stored batches are coalesced until at least this
+#: many run-length entries accumulate, then fed as one kernel batch.
+REPLAY_CHUNK_LINES = 1 << 16
+
+
+def _chunk_batches(ends) -> list[int]:
+    """Batch-index cut points whose chunks hold >= REPLAY_CHUNK_LINES
+    entries each (except the last).  Returned values are exclusive batch
+    indices; ``ends[cut - 1]`` is the chunk's end position."""
+    total_batches = len(ends)
+    if total_batches == 0:
+        return []
+    total_lines = int(ends[-1])
+    targets = np.arange(
+        REPLAY_CHUNK_LINES,
+        total_lines + REPLAY_CHUNK_LINES,
+        REPLAY_CHUNK_LINES,
+        dtype=np.int64,
+    )
+    cuts = np.unique(np.searchsorted(ends, targets, side="left") + 1)
+    cuts = cuts[cuts <= total_batches].tolist()
+    if not cuts or cuts[-1] != total_batches:
+        cuts.append(total_batches)
+    return cuts
+
 
 def fast_replay_supported(hierarchy, stored: StoredTrace) -> bool:
     """Whether :func:`replay_stream` can replay ``stored`` exactly."""
     return (
         hierarchy.l1d.config.associativity == 1
-        and hierarchy.l2_page_mapper is None
-        and hierarchy.oracle is None
-        and hierarchy.observer is None
-        and hierarchy.profiler is None
-        and hierarchy.tap is None
+        and not hierarchy.has_sidecars
         and len(stored.shadow_hits) > 0
         and stored.header.get("l1d_lines") == hierarchy.l1d.config.num_lines
     )
+
+
+def replay_into(hierarchy, stored: StoredTrace) -> None:
+    """Feed the whole stored data stream through ``hierarchy``.
+
+    Vectorized when :func:`fast_replay_supported`; otherwise through
+    ``access_data`` in chunks.  Merging adjacent batches preserves every
+    statistic (the kernel, L2 forwarding and read/write bookkeeping see
+    the same reference sequence), so the often tiny recorded batches go
+    in as large chunks, sliced from the memory-mapped views as lists,
+    the kernel's fastest input form.
+    """
+    if fast_replay_supported(hierarchy, stored):
+        replay_stream(hierarchy, stored)
+        return
+    access = hierarchy.access_data
+    lines, counts = stored.lines, stored.counts
+    ends = stored.batch_ends
+    cum_writes = np.concatenate(
+        ([0], np.cumsum(stored.batch_writes, dtype=np.int64))
+    )
+    start = prev = 0
+    for cut in _chunk_batches(ends):
+        end = int(ends[cut - 1])
+        access(
+            lines[start:end].tolist(),
+            counts[start:end].tolist(),
+            int(cum_writes[cut] - cum_writes[prev]),
+        )
+        start, prev = end, cut
 
 
 def replay_stream(hierarchy, stored: StoredTrace) -> None:
@@ -57,8 +109,8 @@ def replay_stream(hierarchy, stored: StoredTrace) -> None:
     forwards the ordered L1 miss lines through the ordinary L2 kernel.
     The per-level dict state (real sets, shadow) is left empty — nothing
     that feeds :meth:`~repro.cache.hierarchy.CacheHierarchy.snapshot`
-    reads it, and the sidecar checks in :func:`fast_replay_supported`
-    guarantee nobody else does either.
+    reads it, and the sidecar check in :func:`fast_replay_supported`
+    guarantees nobody else does either.
     """
     lines = np.asarray(stored.lines)
     total_refs = int(np.sum(stored.counts, dtype=np.int64))
@@ -91,7 +143,7 @@ def replay_stream(hierarchy, stored: StoredTrace) -> None:
     # Direct-mapped hit/miss: group accesses by set with a stable sort;
     # within a set's subsequence, an access misses exactly when it is
     # the set's first access or a different line than its predecessor.
-    set_ids = (deduped & np.int64(l1.real._set_mask)).astype(np.int32)
+    set_ids = (deduped & np.int64(l1.set_mask)).astype(np.int32)
     order = np.argsort(set_ids, kind="stable")
     sorted_sets = set_ids[order]
     sorted_lines = rebased[order]

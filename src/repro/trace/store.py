@@ -318,6 +318,43 @@ def build_header(
     }
 
 
+def container_layout(
+    header: dict[str, Any],
+    lengths: dict[str, int],
+    total_refs: int,
+    payload_sha256: str = "0" * 64,
+) -> tuple[dict[str, Any], int]:
+    """The header :func:`write_trace` stores for arrays of ``lengths``
+    entries, and the container's exact size in bytes — known before the
+    payload exists, since its checksum is a fixed-width hex digest."""
+    header = dict(
+        header, payload_sha256=payload_sha256, total_refs=total_refs,
+        batches=lengths["batch_ends"],
+    )
+    # Two-pass offset computation: the header length depends on the
+    # offsets, which depend on the header length.  Padding the header to
+    # a fixed-point is simpler: compute with a placeholder, then re-pad.
+    geometry = {
+        name: {"dtype": dtype, "count": lengths[name]}
+        for name, dtype in _ARRAY_DTYPES.items()
+    }
+    for _ in range(3):
+        header["arrays"] = geometry
+        encoded = _canonical_json(header).encode()
+        data_start = _align(len(MAGIC) + 8 + len(encoded))
+        offset = data_start
+        changed = False
+        for name, dtype in _ARRAY_DTYPES.items():
+            if geometry[name].get("offset") != offset:
+                geometry[name]["offset"] = offset
+                changed = True
+            offset = _align(offset + lengths[name] * np.dtype(dtype).itemsize)
+        header["data_offset"] = data_start
+        if not changed:
+            break
+    return header, offset
+
+
 def write_trace(
     path: Path, header: dict[str, Any], arrays: dict[str, np.ndarray]
 ) -> None:
@@ -328,39 +365,20 @@ def write_trace(
     records every array's offset/dtype/count and the sha256 of the whole
     data region, so the doctor can verify integrity without a schema.
     """
-    header = dict(header)
     blobs = {
         name: np.ascontiguousarray(arrays[name], dtype=np.dtype(dtype))
-        for name, dtype in _ARRAY_DTYPES.items()
-    }
-    # Two-pass offset computation: the header length depends on the
-    # offsets, which depend on the header length.  Padding the header to
-    # a fixed-point is simpler: compute with a placeholder, then re-pad.
-    geometry = {
-        name: {"dtype": dtype, "count": int(len(blobs[name]))}
         for name, dtype in _ARRAY_DTYPES.items()
     }
     data = b"".join(
         blobs[name].tobytes().ljust(_align(blobs[name].nbytes), b"\0")
         for name in _ARRAY_DTYPES
     )
-    header["payload_sha256"] = file_checksum(data)
-    header["total_refs"] = int(blobs["counts"].sum())
-    header["batches"] = int(len(blobs["batch_ends"]))
-    for _ in range(3):
-        header["arrays"] = geometry
-        encoded = _canonical_json(header).encode()
-        data_start = _align(len(MAGIC) + 8 + len(encoded))
-        offset = data_start
-        changed = False
-        for name in _ARRAY_DTYPES:
-            if geometry[name].get("offset") != offset:
-                geometry[name]["offset"] = offset
-                changed = True
-            offset = _align(offset + blobs[name].nbytes)
-        header["data_offset"] = data_start
-        if not changed:
-            break
+    header, _ = container_layout(
+        header,
+        {name: len(blob) for name, blob in blobs.items()},
+        int(blobs["counts"].sum()),
+        file_checksum(data),
+    )
     encoded = _canonical_json(header).encode()
     prefix = (
         MAGIC
@@ -616,12 +634,6 @@ class TraceStore:
         """
         if result.thread_faults:
             return None
-        if capture.total_lines * 13 > MAX_TRACE_BYTES:
-            log.warning(
-                "trace store: %s/%s stream too large to store "
-                "(%d lines)", key.app, key.version, capture.total_lines,
-            )
-            return None
         digest = key.digest
         path = self.object_path(digest)
         if path.exists():
@@ -629,6 +641,15 @@ class TraceStore:
         header = build_header(key, result, code_footprint, machine)
         arrays = capture.arrays()
         deduped = arrays["lines"][dedup_mask(arrays["lines"])]
+        lengths = {name: len(array) for name, array in arrays.items()}
+        lengths["shadow_hits"] = len(deduped)
+        _, size = container_layout(header, lengths, int(arrays["counts"].sum()))
+        if size > MAX_TRACE_BYTES:
+            log.warning(
+                "trace store: %s/%s stream too large to store "
+                "(%d bytes)", key.app, key.version, size,
+            )
+            return None
         arrays["shadow_hits"] = shadow_hit_bits(
             deduped, machine.l1d.num_lines
         )

@@ -151,9 +151,9 @@ class CacheOracle:
 
     def check_structure(self, name: str, cache: ClassifyingCache) -> None:
         """O(cache size) structural audit of the LRU state itself."""
-        for violation in cache.real.structural_violations():
+        for violation in cache.set_violations():
             self._fail("set-associative LRU structure", f"{name}: {violation}", name)
-        for violation in cache.shadow.structural_violations():
+        for violation in cache.shadow_violations():
             self._fail("shadow LRU structure", f"{name} shadow: {violation}", name)
 
     # ------------------------------------------------------------------

@@ -9,12 +9,13 @@ earn trust in replay determinism):
   twice through fresh hierarchies: the two runs (and a re-recording of
   the trace itself) must be byte-identical.
 * **Set-assoc ≡ fully-assoc equivalence** — a
-  :class:`~repro.cache.set_assoc.SetAssociativeCache` configured with
+  :class:`~repro.cache.classify.ClassifyingCache` configured with
   ``associativity == num_lines`` (one set) is, by definition, a
-  fully-associative LRU cache; it must agree with
-  :class:`~repro.cache.fully_assoc.FullyAssociativeLRU` on every single
-  access of a seeded random stream, and end with the identical LRU
-  stack.
+  fully-associative LRU cache; driven through the production
+  :meth:`~repro.cache.classify.ClassifyingCache.process` loop, its real
+  cache must agree with its own fully-associative shadow on every
+  single access of a seeded random stream, and end with the identical
+  LRU stack.
 * **Schedule work conservation** — hinted and unhinted schedules of the
   same fork sequence must execute the same *multiset* of threads (each
   exactly once) touching the same multiset of data: locality scheduling
@@ -33,9 +34,8 @@ from dataclasses import dataclass
 
 from repro.apps.matmul.config import MatmulConfig
 from repro.apps.matmul.programs import threaded as matmul_threaded
+from repro.cache.classify import ClassifyingCache
 from repro.cache.config import CacheConfig
-from repro.cache.fully_assoc import FullyAssociativeLRU
-from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.package import ThreadPackage
 from repro.machine.presets import DEFAULT_SCALE, r8000
 from repro.sim.engine import Simulator
@@ -135,8 +135,7 @@ def check_assoc_equivalence(
         "equiv", size=capacity * 32, line_size=32, associativity=capacity
     )
     assert config.num_sets == 1
-    real = SetAssociativeCache(config)
-    reference = FullyAssociativeLRU(capacity)
+    cache = ClassifyingCache(config)
     rng = random.Random(seed)
     # A mix of hot lines (LRU churn) and a long tail (evictions).
     for position in range(accesses):
@@ -144,17 +143,18 @@ def check_assoc_equivalence(
             line = rng.randrange(capacity * 2)
         else:
             line = rng.randrange(capacity * 64)
-        hit_real = real.access(line)
-        hit_reference = reference.access(line)
-        if hit_real != hit_reference:
+        shadow_misses = cache.shadow_misses
+        hit_real = not cache.process([line])
+        hit_shadow = cache.shadow_misses == shadow_misses
+        if hit_real != hit_shadow:
             return CheckOutcome(
                 "set-assoc ≡ fully-assoc",
                 False,
                 f"access {position} (line {line}): set-assoc "
                 f"{'hit' if hit_real else 'miss'}, fully-assoc "
-                f"{'hit' if hit_reference else 'miss'}",
+                f"{'hit' if hit_shadow else 'miss'}",
             )
-    if real.lru_order(0) != reference.lru_order():
+    if list(cache.sets[0]) != list(cache.shadow):
         return CheckOutcome(
             "set-assoc ≡ fully-assoc",
             False,

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.classify import ClassifyingCache, LevelStats
 from repro.cache.config import CacheConfig
+from repro.cache.reference import ReferenceClassifyingCache
 
 
 def make(size=128, line=16, ways=1):
@@ -34,7 +35,7 @@ class TestLevelStats:
 class TestClassification:
     def test_first_touch_is_compulsory(self):
         cache = make()
-        cache.access(0)
+        cache.process([0])
         assert cache.stats.compulsory == 1
         assert cache.stats.capacity == 0
         assert cache.stats.conflict == 0
@@ -43,9 +44,9 @@ class TestClassification:
         # Direct-mapped, 8 lines/sets: lines 0 and 8 collide while the
         # fully-associative shadow (8 lines) holds both -> conflict.
         cache = make(ways=1)
-        cache.access(0)
-        cache.access(8)
-        cache.access(0)  # would hit fully-associative: conflict
+        cache.process([0])
+        cache.process([8])
+        cache.process([0])  # would hit fully-associative: conflict
         assert cache.stats.conflict == 1
         assert cache.stats.capacity == 0
 
@@ -54,29 +55,29 @@ class TestClassification:
         # the shadow too -> capacity.
         cache = make(ways=1)
         for line in range(16):
-            cache.access(line)
+            cache.process([line])
         for line in range(16):
-            cache.access(line)
+            cache.process([line])
         assert cache.stats.capacity == 16
         assert cache.stats.compulsory == 16
 
     def test_fully_associative_cache_never_conflicts(self):
         cache = make(size=128, line=16, ways=8)
         for line in range(100):
-            cache.access(line % 24)
+            cache.process([line % 24])
         assert cache.stats.conflict == 0
 
     def test_access_run_counts_repeats_as_hits(self):
         cache = make()
-        cache.access_run(5, 10)
+        cache.process([5], counts=[10])
         assert cache.stats.accesses == 10
         assert cache.stats.misses == 1
 
     def test_flush_preserves_history(self):
         cache = make()
-        cache.access(0)
+        cache.process([0])
         cache.flush()
-        cache.access(0)
+        cache.process([0])
         # Second touch after flush is NOT compulsory (seen before) and the
         # shadow was flushed too, so it's a capacity miss by convention.
         assert cache.stats.compulsory == 1
@@ -84,9 +85,9 @@ class TestClassification:
 
     def test_reset_clears_history(self):
         cache = make()
-        cache.access(0)
+        cache.process([0])
         cache.reset()
-        cache.access(0)
+        cache.process([0])
         assert cache.stats.compulsory == 1
         assert cache.stats.misses == 1
 
@@ -106,7 +107,7 @@ class TestClassification:
 
     def test_process_matches_single_access(self):
         batch = make(ways=2)
-        single = make(ways=2)
+        single = ReferenceClassifyingCache(batch.config)
         lines = [0, 4, 8, 0, 12, 4, 0, 8, 16, 0]
         batch.process(lines)
         for line in lines:

@@ -1,70 +1,73 @@
-"""Tests for the fully-associative LRU shadow cache."""
+"""Tests for the fully-associative LRU shadow inside ``ClassifyingCache``.
+
+The shadow is a fully-associative LRU of the level's capacity.  A
+one-set configuration makes the real cache fully associative too, so
+:meth:`ClassifyingCache.process` reports the fully-associative verdict
+and both LRU structures must hold the same lines in the same order.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.fully_assoc import FullyAssociativeLRU
+from repro.cache.classify import ClassifyingCache
+from repro.cache.config import CacheConfig
+
+
+def make(capacity):
+    return ClassifyingCache(CacheConfig("fa", capacity * 16, 16, capacity))
+
+
+def access(cache, line):
+    """Reference ``line``; ``True`` on a hit (real cache and shadow agree)."""
+    shadow_misses = cache.shadow_misses
+    hit = not cache.process([line])
+    assert hit == (cache.shadow_misses == shadow_misses)
+    assert list(cache.sets[0]) == list(cache.shadow)
+    return hit
 
 
 class TestBasics:
     def test_miss_then_hit(self):
-        cache = FullyAssociativeLRU(4)
-        assert cache.access(10) is False
-        assert cache.access(10) is True
+        cache = make(4)
+        assert access(cache, 10) is False
+        assert access(cache, 10) is True
 
     def test_capacity_enforced(self):
-        cache = FullyAssociativeLRU(3)
-        for line in range(5):
-            cache.access(line)
-        assert len(cache) == 3
+        cache = make(4)
+        for line in range(6):
+            access(cache, line)
+        assert len(cache.shadow) == 4
 
     def test_eviction_is_lru(self):
-        cache = FullyAssociativeLRU(2)
-        cache.access(1)
-        cache.access(2)
-        cache.access(1)  # refresh
-        cache.access(3)  # evicts 2
-        assert cache.probe(1)
-        assert not cache.probe(2)
-        assert cache.probe(3)
-
-    def test_lru_line_reports_next_victim(self):
-        cache = FullyAssociativeLRU(2)
-        assert cache.lru_line is None
-        cache.access(5)
-        cache.access(6)
-        assert cache.lru_line == 5
-        cache.access(5)
-        assert cache.lru_line == 6
-
-    def test_probe_does_not_refresh(self):
-        cache = FullyAssociativeLRU(2)
-        cache.access(1)
-        cache.access(2)
-        cache.probe(1)  # must NOT refresh 1
-        cache.access(3)  # evicts 1
-        assert not cache.probe(1)
+        cache = make(2)
+        access(cache, 1)
+        access(cache, 2)
+        access(cache, 1)  # refresh
+        access(cache, 3)  # evicts 2
+        assert 1 in cache.shadow
+        assert 2 not in cache.shadow
+        assert 3 in cache.shadow
 
     def test_flush(self):
-        cache = FullyAssociativeLRU(2)
-        cache.access(1)
+        cache = make(2)
+        access(cache, 1)
         cache.flush()
-        assert len(cache) == 0
-        assert not cache.probe(1)
+        assert len(cache.shadow) == 0
+        assert access(cache, 1) is False
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
-            FullyAssociativeLRU(0)
+            make(0)
 
 
 class TestAgainstReferenceModel:
     @given(
         accesses=st.lists(st.integers(0, 12), min_size=1, max_size=200),
-        capacity=st.integers(1, 8),
+        capacity=st.sampled_from([1, 2, 4, 8]),
     )
     def test_property_matches_naive_lru_list(self, accesses, capacity):
         """The dict-based cache behaves exactly like a list-based LRU."""
-        cache = FullyAssociativeLRU(capacity)
+        cache = make(capacity)
         reference: list[int] = []  # LRU order, least recent first
         for line in accesses:
             expected_hit = line in reference
@@ -73,6 +76,5 @@ class TestAgainstReferenceModel:
             elif len(reference) >= capacity:
                 reference.pop(0)
             reference.append(line)
-            assert cache.access(line) is expected_hit
-            assert cache.resident_lines == set(reference)
-            assert cache.lru_line == reference[0]
+            assert access(cache, line) is expected_hit
+            assert list(cache.shadow) == reference

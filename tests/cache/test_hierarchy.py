@@ -36,6 +36,15 @@ class TestDataPath:
         assert h.l2.stats.accesses == 4
         assert h.l2.stats.misses == 1  # one 64-byte L2 line
 
+    def test_returns_l1_and_l2_miss_lines(self):
+        # L1 lines 0..3 and 8 miss; L2 (4 L1 lines per L2 line) sees
+        # them as lines 0, 0, 0, 0, 2 and misses on the first touches.
+        h = make_hierarchy()
+        assert h.access_data([0, 1, 2, 3, 8]) == ([0, 1, 2, 3, 8], [0, 2])
+        assert h.access_data([1, 2]) == ([], [])  # L1 hits
+        # Line 8 evicted line 0 from the direct-mapped L1; L2 still has it.
+        assert h.access_data([0]) == ([0], [])
+
     def test_equal_line_sizes_pass_through(self):
         h = make_hierarchy(l1_line=16, l2_line=16)
         h.access_data([5])

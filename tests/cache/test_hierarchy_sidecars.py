@@ -4,11 +4,10 @@ Profiling/verification/telemetry "off" must be structurally free: with
 no sidecar attached, ``access_data`` is the uninstrumented class
 method — no sidecar code exists on that path at all.  Attaching any
 sidecar installs the instrumented per-instance variant; detaching the
-last one restores the plain method.  And because the instrumented
-variant duplicates the plain method's cache work (so the off path
-never pays for the hooks), a stream-equivalence test pins the two
-variants to identical statistics: attaching a sidecar may change
-*observation*, never *simulation*.
+last one restores the plain method.  The instrumented variant runs the
+plain kernel between its hooks, and a stream-equivalence test holds
+the two bindings to identical statistics: attaching a sidecar may
+change *observation*, never *simulation*.
 """
 
 import random
@@ -61,6 +60,24 @@ class TestRebinding:
         assert "access_data" in vars(hierarchy)  # profiler still on
         hierarchy.profiler = None
         assert "access_data" not in vars(hierarchy)
+
+    def test_has_sidecars_tracks_every_slot(self):
+        for slot in ("oracle", "observer", "profiler", "tap"):
+            hierarchy = r8000().build_hierarchy()
+            assert not hierarchy.has_sidecars
+            setattr(hierarchy, slot, NoopObserver())
+            assert hierarchy.has_sidecars, slot
+            setattr(hierarchy, slot, None)
+            assert not hierarchy.has_sidecars, slot
+
+    def test_both_bindings_return_the_same_miss_lines(self):
+        plain = r8000().build_hierarchy()
+        instrumented = r8000().build_hierarchy()
+        instrumented.observer = NoopObserver()
+        for lines, counts, writes in random_stream(seed=99):
+            assert plain.access_data(lines, counts, writes) == (
+                instrumented.access_data(lines, counts, writes)
+            )
 
     def test_sidecar_slots_read_back(self):
         hierarchy = r8000().build_hierarchy()

@@ -62,9 +62,9 @@ def assert_same_state(
     assert optimized.stats.as_dict() == reference.stats.as_dict()
     assert optimized.shadow_misses == reference.shadow_misses
     assert optimized._seen == reference._seen
-    assert optimized.shadow.lru_order() == reference.shadow_lru_order()
+    assert list(optimized.shadow) == reference.shadow_lru_order()
     for set_index in range(optimized.config.num_sets):
-        assert optimized.real.lru_order(set_index) == reference.real.lru_order(
+        assert list(optimized.sets[set_index]) == reference.real.lru_order(
             set_index
         ), f"LRU order diverged in set {set_index}"
 
@@ -107,25 +107,28 @@ class TestBatchedProcessMatchesReference:
             assert_same_state(optimized, reference)
 
 
-class TestBatchedProcessMatchesPerLineAccess:
-    """``process`` must also agree with the production ``access`` path,
-    which the resilience and verification layers use line by line."""
+class TestBatchBoundaries:
+    """Where a stream is cut into batches must not matter: the recorder
+    emits batches of any size, and stored-trace replay coalesces them
+    into large chunks, both relying on this."""
 
     @pytest.mark.parametrize("associativity", ASSOCIATIVITIES)
-    def test_process_equals_access(self, associativity):
+    def test_one_batch_equals_per_entry_batches(self, associativity):
         config = make_config(associativity)
         batched = ClassifyingCache(config)
         per_line = ClassifyingCache(config)
         trace = random_trace(7, 4000, span=128)
         batched_misses = batched.process(trace)
-        per_line_misses = [line for line in trace if not per_line.access(line)]
+        per_line_misses = [
+            miss for line in trace for miss in per_line.process([line])
+        ]
         assert batched_misses == per_line_misses
         assert batched.stats.as_dict() == per_line.stats.as_dict()
         assert batched.shadow_misses == per_line.shadow_misses
-        assert batched.shadow.lru_order() == per_line.shadow.lru_order()
+        assert list(batched.shadow) == list(per_line.shadow)
         for set_index in range(config.num_sets):
-            assert batched.real.lru_order(set_index) == per_line.real.lru_order(
-                set_index
+            assert list(batched.sets[set_index]) == list(
+                per_line.sets[set_index]
             )
 
     @pytest.mark.parametrize("associativity", ASSOCIATIVITIES)

@@ -1,9 +1,10 @@
-"""Set-associative cache vs an independent reference model."""
+"""Set-associative cache (``ClassifyingCache.process``) vs an
+independent reference model."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.config import CacheConfig
-from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.classify import ClassifyingCache
 
 
 class ReferenceCache:
@@ -37,26 +38,27 @@ class TestAgainstReferenceModel:
     def test_property_hit_sequence_matches(self, accesses, geometry):
         size, line, ways = geometry
         config = CacheConfig("c", size, line, ways)
-        cache = SetAssociativeCache(config)
+        cache = ClassifyingCache(config)
         reference = ReferenceCache(config.num_sets, ways)
         for line_number in accesses:
-            assert cache.access(line_number) == reference.access(line_number)
+            hit = not cache.process([line_number])
+            assert hit == reference.access(line_number)
 
     @settings(max_examples=40)
     @given(accesses=st.lists(st.integers(0, 200), min_size=1, max_size=400))
     def test_property_residency_never_exceeds_capacity(self, accesses):
         config = CacheConfig("c", 256, 16, 2)
-        cache = SetAssociativeCache(config)
+        cache = ClassifyingCache(config)
         for line_number in accesses:
-            cache.access(line_number)
-            assert len(cache.resident_lines) <= config.num_lines
+            cache.process([line_number])
+            assert sum(map(len, cache.sets)) <= config.num_lines
             for set_index in range(config.num_sets):
-                assert len(cache.lru_order(set_index)) <= 2
+                assert len(cache.sets[set_index]) <= 2
 
     @settings(max_examples=40)
     @given(accesses=st.lists(st.integers(0, 100), min_size=1, max_size=300))
     def test_property_most_recent_access_always_resident(self, accesses):
-        cache = SetAssociativeCache(CacheConfig("c", 128, 16, 2))
+        cache = ClassifyingCache(CacheConfig("c", 128, 16, 2))
         for line_number in accesses:
-            cache.access(line_number)
-            assert cache.probe(line_number)
+            cache.process([line_number])
+            assert line_number in cache.sets[line_number & cache.set_mask]

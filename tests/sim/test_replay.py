@@ -8,8 +8,13 @@ import pytest
 from repro.apps.sor import SorConfig, VERSIONS as SOR
 from repro.machine.presets import r8000
 from repro.mem.paging import PageMapper
-from repro.sim.engine import REPLAY_CHUNK_LINES, Simulator, _chunk_batches
-from repro.trace.replay import fast_replay_supported
+from repro.obs import Telemetry
+from repro.sim.engine import Simulator
+from repro.trace.replay import (
+    REPLAY_CHUNK_LINES,
+    _chunk_batches,
+    fast_replay_supported,
+)
 from repro.trace.store import TraceCapture, TraceStore, trace_key_for
 
 
@@ -96,3 +101,32 @@ class TestChunkBatches:
 
     def test_empty_stream(self):
         assert _chunk_batches(np.array([], dtype=np.int64)) == []
+
+
+class TestReplayMetrics:
+    def test_replay_reports_the_live_runs_forks_and_dispatches(self, tmp_path):
+        machine = r8000(64)
+        config = SorConfig.quick()
+        live_obs = Telemetry()
+        capture = TraceCapture()
+        live = Simulator(machine, verify=False, telemetry=live_obs).run(
+            SOR["threaded"](config), capture=capture
+        )
+        store = TraceStore(tmp_path / "traces")
+        key = trace_key_for(SOR["threaded"](config), config, machine, 4096)
+        store.put(key, capture, live, machine, 4096)
+        replay_obs = Telemetry()
+        replayed = Simulator(machine, verify=False, telemetry=replay_obs).replay(
+            store.get(key)
+        )
+        assert replayed.stats == live.stats
+        live_metrics, replay_metrics = live_obs.metrics, replay_obs.metrics
+        for name in ("sim.forks", "sim.dispatches"):
+            assert (
+                replay_metrics.counter(name).value
+                == live_metrics.counter(name).value
+            ), name
+        assert replay_metrics.counter("sim.forks").value == live.forks > 0
+        assert replay_metrics.counter("sim.dispatches").value == live.dispatches
+        assert replay_metrics.counter("sim.replays").value == 1
+        assert replay_metrics.counter("sim.runs").value == 0

@@ -20,9 +20,11 @@ from repro.apps.pde import PdeConfig, VERSIONS as PDE
 from repro.apps.sor import SorConfig, VERSIONS as SOR
 from repro.machine.presets import r8000, r10000
 from repro.resilience.errors import CheckpointError
-from repro.sim.engine import Simulator, _chunk_batches
+from repro.sim.engine import Simulator
+import repro.trace.store as store_module
 from repro.trace.store import (
     TraceCapture,
+    TraceKey,
     TraceStore,
     current_trace_store,
     dedup_mask,
@@ -198,6 +200,50 @@ class TestIntegrity:
         assert store.get(key) is None
 
 
+def single_line_batches(ctx):
+    """60,000 one-line batches: the batch arrays outweigh the lines."""
+    for i in range(60_000):
+        ctx.recorder.record_lines([i % 97])
+
+
+class TestSizeCap:
+    """The cap bounds the object actually written — per-batch arrays,
+    shadow annotation and header included, not just the line count."""
+
+    @pytest.fixture(scope="class")
+    def many_batches(self):
+        machine = r8000(64)
+        capture = TraceCapture()
+        live = Simulator(machine, verify=False).run(
+            single_line_batches, capture=capture
+        )
+        key = TraceKey("synthetic", "single_line_batches", "config", "code")
+        return machine, capture, live, key
+
+    def test_many_small_batches_respect_the_cap(
+        self, tmp_path, monkeypatch, many_batches
+    ):
+        machine, capture, live, key = many_batches
+        monkeypatch.setattr(store_module, "MAX_TRACE_BYTES", 1 << 20)
+        store = TraceStore(tmp_path / "traces")
+        assert store.put(key, capture, live, machine, 4096) is None
+        assert store.object_paths() == []
+
+    def test_size_check_is_exact(self, tmp_path, monkeypatch, many_batches):
+        machine, capture, live, key = many_batches
+        reference = TraceStore(tmp_path / "reference")
+        assert reference.put(key, capture, live, machine, 4096) == key.digest
+        size = reference.object_path(key.digest).stat().st_size
+        monkeypatch.setattr(store_module, "MAX_TRACE_BYTES", size - 1)
+        assert TraceStore(tmp_path / "under").put(
+            key, capture, live, machine, 4096
+        ) is None
+        monkeypatch.setattr(store_module, "MAX_TRACE_BYTES", size)
+        at_cap = TraceStore(tmp_path / "at")
+        assert at_cap.put(key, capture, live, machine, 4096) == key.digest
+        assert at_cap.object_path(key.digest).stat().st_size == size
+
+
 class TestShadowAnnotation:
     def test_shadow_bits_match_kernel_shadow(self):
         # The stored annotation must reproduce the classifying kernel's
@@ -232,15 +278,6 @@ class TestReplayGuards:
         stored = store.get(key)
         with pytest.raises(ValueError, match="machine"):
             Simulator(r10000(64), verify=False).replay(stored)
-
-    def test_chunk_cuts_partition_all_batches(self):
-        rng = np.random.default_rng(3)
-        sizes = rng.integers(1, 50, size=500, dtype=np.int64)
-        ends = np.cumsum(sizes)
-        cuts = _chunk_batches(ends)
-        assert cuts[-1] == len(ends)
-        assert cuts == sorted(set(cuts))
-        assert _chunk_batches(np.array([], dtype=np.int64)) == []
 
 
 class TestScope:

@@ -48,33 +48,40 @@ class TestCorruption:
 
     def test_overfilled_set_detected(self, tiny_cache):
         cache = ClassifyingCache(tiny_cache)
-        for line in range(8):
-            cache.access(line)
+        cache.process(list(range(8)))
         # Corrupt the LRU state: overfill set 0 beyond the associativity,
         # the kind of damage a buggy eviction path would cause.  Lines
         # that are multiples of num_sets map to set 0.
         for extra in (25, 26, 27):
-            cache.real._sets[0][extra * tiny_cache.num_sets] = None
+            cache.sets[0][extra * tiny_cache.num_sets] = None
         oracle = CacheOracle()
         with pytest.raises(VerificationError) as excinfo:
             oracle.check_structure("L1D", cache)
         assert excinfo.value.invariant == "set-associative LRU structure"
         assert excinfo.value.level == "L1D"
 
+    def test_overfilled_shadow_detected(self, tiny_cache):
+        cache = ClassifyingCache(tiny_cache)
+        cache.process(list(range(8)))
+        cache.shadow[100] = None  # one line beyond the shadow's capacity
+        with pytest.raises(VerificationError) as excinfo:
+            CacheOracle().check_structure("L2", cache)
+        assert excinfo.value.invariant == "shadow LRU structure"
+        assert excinfo.value.level == "L2"
+
     def test_misplaced_line_detected(self, tiny_cache):
         cache = ClassifyingCache(tiny_cache)
-        cache.access(0)
+        cache.process([0])
         # Move the resident line into a set it does not map to.
-        del cache.real._sets[0][0]
-        cache.real._sets[1][0] = None
+        del cache.sets[0][0]
+        cache.sets[1][0] = None
         with pytest.raises(VerificationError) as excinfo:
             CacheOracle().check_structure("L1D", cache)
         assert "maps to set" in str(excinfo.value)
 
     def test_corrupted_counter_breaks_classification_identity(self, tiny_cache):
         cache = ClassifyingCache(tiny_cache)
-        for line in range(8):
-            cache.access(line)
+        cache.process(list(range(8)))
         cache.stats.conflict += 1  # bookkeeping corruption
         with pytest.raises(VerificationError) as excinfo:
             CacheOracle().check_level("L1D", cache)
@@ -86,8 +93,7 @@ class TestCorruption:
     def test_counter_rollback_breaks_monotonicity(self, tiny_cache):
         cache = ClassifyingCache(tiny_cache)
         oracle = CacheOracle()
-        for line in range(8):
-            cache.access(line)
+        cache.process(list(range(8)))
         oracle.check_level("L1D", cache)
         # Roll the level back self-consistently (every identity still
         # holds at the new values) — only the cross-batch monotonicity
@@ -103,8 +109,7 @@ class TestCorruption:
 
     def test_inclusion_check_is_opt_in(self, tiny_cache):
         cache = ClassifyingCache(tiny_cache)
-        for line in range(8):
-            cache.access(line)
+        cache.process(list(range(8)))
         cache.shadow_misses = cache.stats.misses + 5
         CacheOracle().check_level("L1D", cache)  # off by default: passes
         with pytest.raises(VerificationError) as excinfo:
@@ -113,8 +118,7 @@ class TestCorruption:
 
     def test_shadow_undercount_detected(self, tiny_cache):
         cache = ClassifyingCache(tiny_cache)
-        for line in range(8):
-            cache.access(line)
+        cache.process(list(range(8)))
         cache.shadow_misses = cache.stats.compulsory - 1
         with pytest.raises(VerificationError) as excinfo:
             CacheOracle().check_level("L1D", cache)
