@@ -19,6 +19,14 @@ from repro.cache.classify import ClassifyingCache, LevelStats
 from repro.cache.config import CacheConfig
 
 
+def check_writes(writes: int, total: int) -> None:
+    """Reject a store count outside ``0..total`` references."""
+    if writes < 0:
+        raise ValueError(f"writes must be non-negative, got {writes}")
+    if writes > total:
+        raise ValueError(f"writes={writes} exceeds total references {total}")
+
+
 @dataclass
 class HierarchyStats:
     """Reference and miss totals for a full hierarchy, paper-table shaped."""
@@ -81,6 +89,11 @@ class CacheHierarchy:
         self._observer = None
         self._profiler = None
         self._tap = None
+        #: Set by a producer that buffers references (the trace
+        #: recorder): called before anything reads or empties the
+        #: caches, so it can hand its buffer to :meth:`access_data`
+        #: first.  ``None`` when nothing buffers.
+        self.drain_hook = None
 
     # ------------------------------------------------------------------
     # Sidecars
@@ -126,8 +139,9 @@ class CacheHierarchy:
     @property
     def observer(self):
         """Optional telemetry observer (``repro.obs.sampler.CacheSampler``)
-        with an ``on_batch(hierarchy)`` method, called after every access
-        batch.  Same contract as ``oracle``: ``None`` means off."""
+        with an ``on_batch(hierarchy, refs)`` method, called after every
+        access batch with the batch's reference count.  Same contract as
+        ``oracle``: ``None`` means off."""
         return self._observer
 
     @observer.setter
@@ -188,8 +202,7 @@ class CacheHierarchy:
             as DineroIII's default demand-fetch policy does).
         """
         total = sum(counts) if counts is not None else len(lines)
-        if writes > total:
-            raise ValueError(f"writes={writes} exceeds total references {total}")
+        check_writes(writes, total)
         self._data_reads += total - writes
         self._data_writes += writes
         l1_misses = self.l1d.process(lines, counts)
@@ -228,14 +241,22 @@ class CacheHierarchy:
         """
         if self._tap is not None:
             self._tap.on_access(lines, counts, writes)
+        accesses = self.l1d.stats.accesses
         l1_misses, l2_misses = self._access_data_plain(lines, counts, writes)
         if self._oracle is not None:
             self._oracle.after_batch(self)
         if self._observer is not None:
-            self._observer.on_batch(self)
+            self._observer.on_batch(self, self.l1d.stats.accesses - accesses)
         if self._profiler is not None:
             self._profiler.on_batch(self, lines, counts, writes, l1_misses, l2_misses)
         return l1_misses, l2_misses
+
+    def drain(self) -> None:
+        """Feed the references a buffering producer still holds (see
+        :attr:`drain_hook`); :meth:`snapshot`, :meth:`flush` and
+        :meth:`reset` call this before they touch the caches."""
+        if self.drain_hook is not None:
+            self.drain_hook()
 
     def fetch_instructions(self, count: int) -> None:
         """Record ``count`` instruction fetches (counted, not simulated)."""
@@ -268,6 +289,7 @@ class CacheHierarchy:
 
     def snapshot(self) -> HierarchyStats:
         """Current cumulative statistics (copies; safe to keep)."""
+        self.drain()
         l1 = LevelStats()
         l1.merge(self.l1d.stats)
         l1.accesses += self._inst_fetches
@@ -288,11 +310,13 @@ class CacheHierarchy:
 
     def flush(self) -> None:
         """Empty all caches, preserving statistics and touch history."""
+        self.drain()
         self.l1d.flush()
         self.l2.flush()
 
     def reset(self) -> None:
         """Empty all caches and zero every statistic."""
+        self.drain()
         self.l1d.reset()
         self.l2.reset()
         self._inst_fetches = 0

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.obs.telemetry import DISABLED, Telemetry
 
@@ -67,6 +67,10 @@ DEFAULT_SAMPLE_INTERVAL = 256
 # Context counter slots (one list per (site, bin) pair — a list, not a
 # dataclass, because this runs once per access batch).
 _REFS, _WRITES, _L1, _L2, _COMP, _CAP, _CONF = range(7)
+
+
+def _nothing_buffered() -> None:
+    """The drain of a profiler whose references arrive unbuffered."""
 
 
 def profile_artifact_name(experiment_id: str) -> str:
@@ -100,6 +104,10 @@ class LocalityProfiler:
     lands in the ``(main)`` site, so the charge is total by
     construction: the per-context counters always sum to the
     hierarchy's own totals (a test invariant).
+
+    ``drain`` feeds the references a trace recorder still buffers; every
+    scope change calls it first, so each reference is charged to the
+    scope it was recorded in.  :meth:`finish` releases it.
     """
 
     def __init__(
@@ -109,12 +117,14 @@ class LocalityProfiler:
         space: Any = None,
         obs: Telemetry = DISABLED,
         interval: int = DEFAULT_SAMPLE_INTERVAL,
+        drain: Callable[[], None] = _nothing_buffered,
     ) -> None:
         self.program = program
         self.machine = machine
         self.space = space
         self.obs = obs
         self.interval = interval
+        self._drain = drain
         self._site = MAIN_SITE
         self._bin = NO_BIN
         self._site_stack: list[str] = []
@@ -146,13 +156,16 @@ class LocalityProfiler:
     # Context hooks (thread package)
     # ------------------------------------------------------------------
     def enter_bin(self, key: str) -> None:
+        self._drain()
         self._bin_stack.append(self._bin)
         self._bin = key
 
     def exit_bin(self) -> None:
+        self._drain()
         self._bin = self._bin_stack.pop()
 
     def enter_site(self, func: Any) -> None:
+        self._drain()
         self._site_stack.append(self._site)
         name = self._site_names.get(func)
         if name is None:
@@ -163,6 +176,7 @@ class LocalityProfiler:
         self._site = name
 
     def exit_site(self) -> None:
+        self._drain()
         self._site = self._site_stack.pop()
 
     # ------------------------------------------------------------------
@@ -208,7 +222,10 @@ class LocalityProfiler:
             self._sample(hierarchy)
 
     def finish(self, hierarchy: Any) -> None:
-        """Flush the tail timeline interval at the end of the run."""
+        """Flush the tail timeline interval at the end of the run, and
+        release the drain (it pins the run's recorder and hierarchy,
+        which a collector holding this profiler must not keep alive)."""
+        self._drain = _nothing_buffered
         if self._batches and (
             not self._timeline or self._timeline[-1]["batch"] != self._batches
         ):

@@ -4,7 +4,8 @@ The final ``SimResult`` only reports end-of-run totals; the paper's
 analysis, by contrast, reasons about *when* misses happen (cold start vs
 steady state, per-bin reuse).  A :class:`CacheSampler` attached to a
 :class:`~repro.cache.hierarchy.CacheHierarchy` (``hierarchy.observer``)
-snapshots the per-class miss deltas every ``interval`` access batches:
+snapshots the per-class miss deltas every ``interval`` L1 data
+references:
 
 * into the metrics registry as the ``cache.l1.classes`` /
   ``cache.l2.classes`` series (the ``repro-trace`` miss-class timeline);
@@ -14,8 +15,12 @@ snapshots the per-class miss deltas every ``interval`` access batches:
 With no sampler attached the hierarchy runs its uninstrumented
 ``access_data`` (attaching one rebinds the instance to the instrumented
 variant — see :class:`~repro.cache.hierarchy.CacheHierarchy`), so the
-un-observed hot path pays nothing; an attached sampler costs one modulo
-per batch.
+un-observed hot path pays nothing; an attached sampler costs one
+comparison per batch.  The cadence counts references, not batches,
+because batch sizes are an artifact of the feed: the trace recorder
+coalesces records into batches of a few thousand run-length entries,
+and replay feeds far larger chunks.  A batch that spans several
+intervals yields one sample.
 """
 
 from __future__ import annotations
@@ -24,13 +29,17 @@ from typing import Any
 
 from repro.obs.telemetry import Telemetry
 
-DEFAULT_INTERVAL = 64
+#: L1 data references between samples.  The recorder's batches carry
+#: about 7k references each on a cold pass over the Table 3/5/7/9
+#: versions, so nearly every batch is sampled: about 1.3k samples for
+#: the pass's 9.4M references.
+DEFAULT_INTERVAL = 1 << 12
 
 
 class CacheSampler:
-    """Snapshots miss-class deltas every ``interval`` access batches."""
+    """Snapshots miss-class deltas every ``interval`` L1 data references."""
 
-    __slots__ = ("obs", "interval", "program", "_batches", "_prev")
+    __slots__ = ("obs", "interval", "program", "_refs", "_next", "_prev")
 
     def __init__(
         self,
@@ -43,14 +52,17 @@ class CacheSampler:
         self.obs = obs
         self.interval = interval
         self.program = program
-        self._batches = 0
+        self._refs = 0
+        self._next = interval
         self._prev: dict[str, dict[str, int]] = {}
 
-    def on_batch(self, hierarchy) -> None:
-        """Called by the hierarchy after every data access batch."""
-        self._batches += 1
-        if self._batches % self.interval:
+    def on_batch(self, hierarchy, refs: int) -> None:
+        """Called by the hierarchy after every data access batch of
+        ``refs`` references."""
+        self._refs += refs
+        if self._refs < self._next:
             return
+        self._next = self._refs - self._refs % self.interval + self.interval
         self.sample(hierarchy)
 
     def sample(self, hierarchy) -> None:
@@ -75,7 +87,7 @@ class CacheSampler:
             self._prev[level_name] = current
             if not any(delta.values()):
                 continue
-            delta["batch"] = self._batches
+            delta["refs"] = self._refs
             if self.program:
                 delta["program"] = self.program
             name = f"cache.{level_name}.classes"

@@ -109,10 +109,15 @@ class Simulator:
                     machine=self.machine.name,
                     space=space,
                     obs=obs,
+                    drain=recorder.drain,
                 )
             with obs.bus.span("sim.program"):
                 try:
                     payload = program(context)
+                    # The program's last references may still be
+                    # buffered; feed them before anything reads the
+                    # caches (oracle, sampler, profiler, snapshot).
+                    recorder.drain()
                 except ReproError:
                     raise  # already structured (e.g. an armed fault at an inner site)
                 except (KeyboardInterrupt, SystemExit):

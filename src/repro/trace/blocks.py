@@ -6,9 +6,9 @@ overhead — tens of thousands of tiny numpy conversions for a single
 matmul.  A :class:`SegmentSweep` lifts the *outer* loop into the
 conversion: it describes how a segment's base address advances per outer
 iteration, so a full two-level nest becomes a single broadcasted address
-matrix, one run-length compression, and one ``access_data`` batch.
+matrix, one run-length compression, and one record.
 
-Merging per-iteration batches into one is statistics-preserving by
+Merging per-iteration records into one is statistics-preserving by
 construction: the expanded element-reference sequence is identical, and
 every consumer of the stream — the L1 kernel, L2 forwarding, read/write
 bookkeeping, oracles, the profiler — depends only on that sequence, not

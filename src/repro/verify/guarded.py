@@ -237,6 +237,12 @@ class GuardedThreadPackage(ThreadPackage):
                     )
             return tracer
 
+        if self.recorder is not None:
+            # The budget counts line events in every nested frame, the
+            # cache kernel's included: feed the references buffered so
+            # far now, so a threshold flush inside this proc cannot
+            # charge it for earlier threads' work.
+            self.recorder.drain()
         previous = sys.gettrace()
         sys.settrace(tracer)
         try:

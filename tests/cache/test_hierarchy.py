@@ -69,6 +69,12 @@ class TestDataPath:
         with pytest.raises(ValueError, match="exceeds"):
             h.access_data([0], writes=2)
 
+    def test_negative_writes_rejected(self):
+        h = make_hierarchy()
+        with pytest.raises(ValueError, match="non-negative"):
+            h.access_data([1, 2, 3], writes=-1)
+        assert h.snapshot().data_refs == 0
+
 
 class TestInstructionSide:
     def test_fetches_counted_not_simulated(self):

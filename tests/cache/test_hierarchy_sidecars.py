@@ -17,7 +17,7 @@ from repro.obs.profile import LocalityProfiler
 
 
 class NoopObserver:
-    def on_batch(self, hierarchy):
+    def on_batch(self, hierarchy, refs):
         pass
 
 

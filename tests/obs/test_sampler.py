@@ -81,8 +81,8 @@ class TestMidRunAttach:
         # one big first interval.
         assert first["accesses"] == hierarchy.l1d.stats.accesses
         assert first["misses"] == hierarchy.l1d.stats.misses
-        # The sampler counts only batches it observed.
-        assert first["batch"] == 4
+        # The sampler counts only references it observed.
+        assert first["refs"] == 4
 
     def test_quiet_interval_emits_no_sample(self):
         hierarchy = r8000().build_hierarchy()

@@ -1,17 +1,30 @@
 """Tests for the trace recorder and segment-to-line conversion."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.trace.recorder as recorder_module
+from repro.apps.matmul import MatmulConfig, VERSIONS as MATMUL
+from repro.apps.nbody import NbodyConfig, VERSIONS as NBODY
+from repro.apps.pde import PdeConfig, VERSIONS as PDE
+from repro.apps.sor import SorConfig, VERSIONS as SOR
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import CacheHierarchy
+from repro.machine import r8000
 from repro.mem.arrays import RefSegment
+from repro.obs.profile import ProfileCollector, collector_scope
+from repro.sim.engine import Simulator
+from repro.trace.blocks import SegmentSweep
 from repro.trace.recorder import (
+    COALESCE_ENTRIES,
     TraceRecorder,
     interleave_segments,
     segment_to_lines,
 )
+from repro.trace.store import TraceCapture
 
 
 def make_recorder():
@@ -239,3 +252,150 @@ class TestRecorder:
         # (sets 0 and 4096>>5=128 & 7 = 0 ... compute actual misses).
         stats = recorder.hierarchy.snapshot()
         assert stats.l1.accesses == 8
+
+    def test_negative_writes_rejected(self):
+        recorder = make_recorder()
+        with pytest.raises(ValueError, match="non-negative"):
+            recorder.record(RefSegment(0, 8, 4, 8), writes=-1)
+        assert recorder.hierarchy.snapshot().data_refs == 0
+
+
+# ----------------------------------------------------------------------
+# Coalescing: records are buffered into COALESCE_ENTRIES-entry batches
+# ----------------------------------------------------------------------
+def segments(count=None):
+    """8-byte-element segments far enough from 0 for negative strides."""
+    return st.builds(
+        lambda base, stride, n: RefSegment(65536 + 8 * base, 8 * stride, n, 8),
+        st.integers(0, 4000),
+        st.integers(-8, 8),
+        st.integers(1, 40) if count is None else st.just(count),
+    )
+
+
+@st.composite
+def record_calls(draw):
+    """One ``record*`` call as ``(method, args, writes)``; ``long`` lines
+    reach past the default threshold, so they bypass the buffer."""
+    kind = draw(st.sampled_from(
+        ["record", "record_interleaved", "record_grid", "record_lines", "long"]
+    ))
+    if kind == "record":
+        segment = draw(segments())
+        return "record", (segment,), draw(st.integers(0, segment.count))
+    if kind == "record_interleaved":
+        count = draw(st.integers(1, 20))
+        group = draw(st.lists(segments(count), min_size=1, max_size=3))
+        return kind, (group,), draw(st.integers(0, count * len(group)))
+    if kind == "record_grid":
+        count = draw(st.integers(1, 10))
+        outer = draw(st.integers(1, 6))
+        sweeps = [
+            SegmentSweep(segment, step=8 * draw(st.integers(0, 64)))
+            for segment in draw(st.lists(segments(count), min_size=1, max_size=3))
+        ]
+        total = outer * count * len(sweeps)
+        return kind, ([sweeps], outer), draw(st.integers(0, total))
+    if kind == "record_lines":
+        lines = draw(st.lists(st.integers(0, 3000), max_size=30))
+        counts = draw(st.none() | st.lists(
+            st.integers(1, 5), min_size=len(lines), max_size=len(lines)
+        ))
+        total = len(lines) if counts is None else sum(counts)
+        return kind, (lines, counts), draw(st.integers(0, total))
+    length = COALESCE_ENTRIES + draw(st.sampled_from([-1, 0, 1, 50]))
+    rng = random.Random(draw(st.integers(0, 1000)))
+    lines = [rng.randrange(3000) for _ in range(length)]
+    return "record_lines", (lines, None), draw(st.integers(0, length))
+
+
+def replay_calls(calls, threshold):
+    """Statistics and captured stream of ``calls`` at ``threshold``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recorder_module, "COALESCE_ENTRIES", threshold)
+        recorder = make_recorder()
+        capture = TraceCapture()
+        recorder.hierarchy.tap = capture
+        for method, args, writes in calls:
+            getattr(recorder, method)(*args, writes=writes)
+        stats = recorder.hierarchy.snapshot()
+    arrays = capture.arrays()
+    stream = (
+        arrays["lines"].tolist(),
+        arrays["counts"].tolist(),
+        int(arrays["batch_writes"].sum()),
+    )
+    return stats, stream, capture.batches
+
+
+class TestCoalescing:
+    """Merging adjacent batches keeps every statistic, so the batch
+    threshold may change batch boundaries and nothing else."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(calls=st.lists(record_calls(), max_size=25))
+    def test_thresholds_give_the_same_statistics_and_stream(self, calls):
+        stats, stream, unbuffered = replay_calls(calls, 1)
+        for threshold in (2, COALESCE_ENTRIES):
+            other_stats, other_stream, batches = replay_calls(calls, threshold)
+            assert other_stats == stats
+            assert other_stream == stream
+            assert batches <= unbuffered
+
+    def test_snapshot_sees_buffered_references(self):
+        recorder = make_recorder()
+        recorder.record(RefSegment(0, 8, 8, 8), writes=2)
+        assert recorder.hierarchy.l1d.stats.accesses == 0  # still buffered
+        stats = recorder.hierarchy.snapshot()
+        assert (stats.data_reads, stats.data_writes) == (6, 2)
+
+    def test_flush_and_reset_apply_buffered_references_first(self):
+        recorder = make_recorder()
+        recorder.record_lines([1])
+        recorder.hierarchy.flush()
+        recorder.record_lines([1])
+        assert recorder.hierarchy.snapshot().l1.misses == 2  # cold again
+        recorder.record_lines([2])
+        recorder.hierarchy.reset()
+        assert recorder.hierarchy.snapshot().data_refs == 0
+
+    def test_writes_are_checked_per_record_not_per_batch(self):
+        # The buffered record's 12 references would cover 2 writes; the
+        # second record's own single reference does not.
+        recorder = make_recorder()
+        recorder.record_lines([0, 1, 2], counts=[4, 4, 4])
+        with pytest.raises(ValueError, match="exceeds"):
+            recorder.record(RefSegment(4096, 8, 1, 8), writes=2)
+
+
+PROFILED_APPS = [
+    ("matmul", MATMUL["threaded"], MatmulConfig(n=48)),
+    ("pde", PDE["threaded"], PdeConfig.quick()),
+    ("sor", SOR["threaded"], SorConfig.quick()),
+    ("nbody", NBODY["threaded"], NbodyConfig.quick()),
+]
+
+
+def profile_entry(factory, config, threshold):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recorder_module, "COALESCE_ENTRIES", threshold)
+        collector = ProfileCollector()
+        with collector_scope(collector):
+            Simulator(r8000(64), verify=False).run(factory(config))
+    (entry,) = collector.payload("coalescing")["entries"]
+    return entry
+
+
+@pytest.mark.parametrize(
+    "factory, config",
+    [app[1:] for app in PROFILED_APPS],
+    ids=[app[0] for app in PROFILED_APPS],
+)
+def test_profile_attribution_does_not_depend_on_batching(factory, config):
+    # Scope changes drain the buffer, so every reference is charged to
+    # the (fork site, bin) and object it was recorded under.
+    unbuffered = profile_entry(factory, config, 1)
+    coalesced = profile_entry(factory, config, COALESCE_ENTRIES)
+    assert coalesced["totals"]["batches"] < unbuffered["totals"]["batches"]
+    assert coalesced["contexts"] == unbuffered["contexts"]
+    assert coalesced["objects"] == unbuffered["objects"]

@@ -201,7 +201,7 @@ class TestIntegrity:
 
 
 def single_line_batches(ctx):
-    """60,000 one-line batches: the batch arrays outweigh the lines."""
+    """60,000 one-line records."""
     for i in range(60_000):
         ctx.recorder.record_lines([i % 97])
 
@@ -212,11 +212,14 @@ class TestSizeCap:
 
     @pytest.fixture(scope="class")
     def many_batches(self):
+        # The recorder coalesces a live run's records into a few large
+        # batches, so the 60,000 one-line batches — where the batch
+        # arrays outweigh the lines — are fed to the capture directly.
         machine = r8000(64)
+        live = Simulator(machine, verify=False).run(single_line_batches)
         capture = TraceCapture()
-        live = Simulator(machine, verify=False).run(
-            single_line_batches, capture=capture
-        )
+        for i in range(60_000):
+            capture.on_access([i % 97], None, 0)
         key = TraceKey("synthetic", "single_line_batches", "config", "code")
         return machine, capture, live, key
 

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+import repro.trace.recorder as recorder_module
+from repro.cache.config import CacheConfig
+from repro.cache.hierarchy import CacheHierarchy
+from repro.mem.allocator import AddressSpace
+from repro.mem.arrays import RefSegment
 from repro.resilience.errors import (
     HintError,
     ThreadBudgetError,
@@ -11,6 +16,8 @@ from repro.resilience.errors import (
     classify_error,
 )
 from repro.resilience.faults import FAULTS
+from repro.trace.costmodel import ThreadCostModel
+from repro.trace.recorder import TraceRecorder
 from repro.verify.guarded import GuardedScheduler, GuardedThreadPackage, guarded_run
 
 L2 = 64 * 1024
@@ -117,6 +124,39 @@ class TestBudget:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             make_package(thread_budget=-1)
+
+    def test_budget_charges_only_the_threads_own_work(self, monkeypatch):
+        # The budget counts line events in every frame below the proc,
+        # the cache kernel's included.  Here the forks leave the
+        # recorder's buffer one entry short of its threshold when the
+        # first proc starts, so the proc's own one-entry record would
+        # flush 256 entries — earlier threads' work — inside its budget
+        # unless the package drains the buffer first.
+        monkeypatch.setattr(recorder_module, "COALESCE_ENTRIES", 256)
+        l1 = CacheConfig("L1", 2048, 32, 1)
+        l2 = CacheConfig("L2", L2, 128, 4)
+        recorder = TraceRecorder(CacheHierarchy(l1, l1, l2))
+        space = AddressSpace()
+        data = space.allocate("data", 8 * 126).base
+        # One-entry records only: two per fork (hash probe, thread
+        # record), three before the first proc (bin header, group,
+        # thread record), so 126 forks leave 2 * 126 + 3 = 255.
+        costs = ThreadCostModel(fork_extra_refs=1, run_extra_refs=1, slot_size=8)
+        package = make_package(
+            thread_budget=300, recorder=recorder, address_space=space, costs=costs
+        )
+
+        def proc(i, _):
+            recorder.record(RefSegment(data + 8 * i, 8, 1, 8))
+
+        for i in range(126):
+            package.th_fork(proc, i, None)
+        stats, report = guarded_run(package)
+        assert report == []
+        assert stats.threads == 126
+        # Per thread: fork (2), dispatch and proc (1 each); plus the
+        # bin header and group read once.
+        assert recorder.hierarchy.snapshot().data_refs == 4 * 126 + 2
 
 
 class TestContainedProcs:
