@@ -141,7 +141,13 @@ class CacheHierarchy:
         """Optional telemetry observer (``repro.obs.sampler.CacheSampler``)
         with an ``on_batch(hierarchy, refs)`` method, called after every
         access batch with the batch's reference count.  Same contract as
-        ``oracle``: ``None`` means off."""
+        ``oracle``: ``None`` means off.
+
+        An observer reads statistics only (``l1d.stats``, ``l2.stats``).
+        That lets a stored-trace replay keep its vectorized step with an
+        observer attached (:mod:`repro.trace.replay`): there it is called
+        once per replay chunk, and the L1D's set and shadow dicts stay
+        empty."""
         return self._observer
 
     @observer.setter
@@ -202,9 +208,7 @@ class CacheHierarchy:
             as DineroIII's default demand-fetch policy does).
         """
         total = sum(counts) if counts is not None else len(lines)
-        check_writes(writes, total)
-        self._data_reads += total - writes
-        self._data_writes += writes
+        self.count_data(total, writes)
         l1_misses = self.l1d.process(lines, counts)
         if not l1_misses:
             return l1_misses, []
@@ -250,6 +254,13 @@ class CacheHierarchy:
         if self._profiler is not None:
             self._profiler.on_batch(self, lines, counts, writes, l1_misses, l2_misses)
         return l1_misses, l2_misses
+
+    def count_data(self, total: int, writes: int) -> None:
+        """Book ``total`` data references, ``writes`` of them stores —
+        the read/write bookkeeping of one access batch."""
+        check_writes(writes, total)
+        self._data_reads += total - writes
+        self._data_writes += writes
 
     def drain(self) -> None:
         """Feed the references a buffering producer still holds (see

@@ -167,14 +167,19 @@ class Simulator:
         side — every ``access_data`` batch verbatim, boundaries included
         — so feeding it back through a fresh hierarchy reproduces the
         cache statistics bit for bit (:func:`repro.trace.replay.replay_into`
-        picks the vectorized or the chunked path).  Instruction fetches
-        only bump order-independent counters, so the stored totals are
-        charged in one call; forks, dispatches and the final scheduling
-        distribution come from the header, which is everything the
-        timing model and :class:`SimResult` need.  ``payload`` is
-        ``None``: replay reproduces *statistics*, not the program's
-        numeric output.  No locality profiler is attached: a stored
-        stream carries no fork-site context.
+        feeds it chunk by chunk, vectorized or through ``access_data``).
+        Instruction fetches only bump order-independent counters, so the
+        stored totals are charged in one call; forks, dispatches and the
+        final scheduling distribution come from the header, which is
+        everything the timing model and :class:`SimResult` need.
+        ``payload`` is ``None``: replay reproduces *statistics*, not the
+        program's numeric output.  No locality profiler is attached: a
+        stored stream carries no fork-site context.
+
+        Raises ``ValueError`` unless the stored machine name and the
+        stored L1D and L2 geometry all match this machine: names encode
+        only the L2 scale, so ``r8000(32)`` and ``r8000(32, 32)`` share
+        one.
         """
         if stored.machine != self.machine.name:
             raise ValueError(
@@ -182,10 +187,20 @@ class Simulator:
                 f"not {self.machine.name!r}"
             )
         header = stored.header
-        if header["line_bits"] != self.machine.l1d.line_bits:
-            raise ValueError(
-                "stored trace L1D line size does not match this machine"
-            )
+        l1d, l2 = self.machine.l1d, self.machine.l2
+        for field, label, expected in (
+            ("line_bits", "L1D line size", l1d.line_bits),
+            ("l1d_lines", "L1D line count", l1d.num_lines),
+            ("l1d_assoc", "L1D associativity", l1d.associativity),
+            ("l2_line_bits", "L2 line size", l2.line_bits),
+            ("l2_lines", "L2 line count", l2.num_lines),
+            ("l2_assoc", "L2 associativity", l2.associativity),
+        ):
+            if header.get(field) != expected:
+                raise ValueError(
+                    f"stored trace {label} ({field}={header.get(field)!r}) "
+                    f"does not match this machine ({expected!r})"
+                )
 
         def feed(hierarchy, obs, verify_run) -> dict[str, Any]:
             replay_into(hierarchy, stored)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.trace.replay as replay_module
 from repro.cache.config import CacheConfig
 from repro.machine.presets import r8000, r10000
 from repro.sim.engine import Simulator
@@ -54,3 +55,31 @@ def r10000_small():
 @pytest.fixture
 def simulator(r8000_small) -> Simulator:
     return Simulator(r8000_small)
+
+
+@pytest.fixture
+def vectorized_replays(monkeypatch) -> list:
+    """The stored traces replayed through the numpy step, in order:
+    ``replay_into`` calls ``replay_stream`` through the module global
+    once per vectorized replay."""
+    calls: list = []
+    real = replay_module.replay_stream
+
+    def spy(hierarchy, stored) -> None:
+        calls.append(stored)
+        real(hierarchy, stored)
+
+    monkeypatch.setattr(replay_module, "replay_stream", spy)
+    return calls
+
+
+def sampler_series(obs) -> dict[str, list[dict]]:
+    """The cache sampler's miss-class series recorded in ``obs``, without
+    their timestamps (which differ between any two runs)."""
+    return {
+        name: [
+            {key: value for key, value in sample.items() if key != "t"}
+            for sample in obs.metrics.series(name).samples
+        ]
+        for name in ("cache.l1.classes", "cache.l2.classes")
+    }

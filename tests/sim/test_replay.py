@@ -1,21 +1,41 @@
-"""Simulator.replay: guards, chunking, and the verified slow path."""
+"""Simulator.replay: guards, chunking, the two chunk steps, and memory."""
 
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.trace.replay as replay_module
 from repro.apps.sor import SorConfig, VERSIONS as SOR
+from repro.cache.config import CacheConfig
+from repro.cache.hierarchy import CacheHierarchy
+from repro.exp import table2_matmul_perf, table3_matmul_cache
+from repro.exp.base import r8000_scaled
 from repro.machine.presets import r8000
 from repro.mem.paging import PageMapper
 from repro.obs import Telemetry
+from repro.obs.sampler import CacheSampler
 from repro.sim.engine import Simulator
 from repro.trace.replay import (
     REPLAY_CHUNK_LINES,
     _chunk_batches,
     fast_replay_supported,
+    replay_into,
+    replay_stream,
 )
-from repro.trace.store import TraceCapture, TraceStore, trace_key_for
+from repro.trace.store import (
+    StoredTrace,
+    TraceCapture,
+    TraceStore,
+    dedup_mask,
+    shadow_hit_bits,
+    trace_key_for,
+)
+from tests.conftest import sampler_series
 
 
 @pytest.fixture()
@@ -55,9 +75,34 @@ class TestReplayGuards:
         with pytest.raises(ValueError, match="line size"):
             Simulator(machine, verify=False).replay(stored)
 
+    def test_same_name_other_l1d_rejected(self, stored_sor):
+        # Machine names encode only the L2 scale: r8000(64, 64) is also
+        # "R8000/64", with an 8-line L1D instead of 64 lines.
+        machine, _, stored = stored_sor
+        variant = r8000(64, 64)
+        assert variant.name == machine.name
+        assert variant.l1d.num_lines != machine.l1d.num_lines
+        with pytest.raises(ValueError, match="L1D line count"):
+            Simulator(variant, verify=False).replay(stored)
+
+    def test_every_stored_geometry_field_is_checked(self, stored_sor):
+        machine, _, stored = stored_sor
+        simulator = Simulator(machine, verify=False)
+        for field in (
+            "line_bits", "l1d_lines", "l1d_assoc",
+            "l2_line_bits", "l2_lines", "l2_assoc",
+        ):
+            saved = stored.header[field]
+            stored.header[field] = saved + 1
+            with pytest.raises(ValueError, match=field):
+                simulator.replay(stored)
+            stored.header[field] = saved
+
 
 class TestVerifiedReplay:
-    def test_oracle_declines_fast_path_but_stats_agree(self, stored_sor):
+    def test_oracle_declines_fast_path_but_stats_agree(
+        self, stored_sor, vectorized_replays
+    ):
         # With verification on, the replay hierarchy carries a cache
         # oracle, so fast_replay_supported must refuse and the chunked
         # dict-kernel path runs under full oracle cross-checking.
@@ -66,10 +111,25 @@ class TestVerifiedReplay:
         assert fast_replay_supported(hierarchy, stored)
 
         replayed = Simulator(machine, verify=True).replay(stored)
+        assert vectorized_replays == []
         assert replayed.verified
         assert replayed.stats == live.stats
         assert replayed.time == live.time
         assert replace(replayed.sched, seq=0) == replace(live.sched, seq=0)
+
+
+class TestStepChoice:
+    def test_only_an_observer_keeps_the_numpy_step(self, stored_sor):
+        # The sampler reads statistics only; the oracle reads the set and
+        # shadow dicts, the profiler and the tap each batch's lines.
+        machine, _, stored = stored_sor
+        hierarchy = machine.build_hierarchy()
+        hierarchy.observer = CacheSampler(Telemetry())
+        assert fast_replay_supported(hierarchy, stored)
+        for slot in ("oracle", "profiler", "tap"):
+            setattr(hierarchy, slot, object())
+            assert not fast_replay_supported(hierarchy, stored), slot
+            setattr(hierarchy, slot, None)
 
 
 class TestChunkBatches:
@@ -130,3 +190,159 @@ class TestReplayMetrics:
         assert replay_metrics.counter("sim.dispatches").value == live.dispatches
         assert replay_metrics.counter("sim.replays").value == 1
         assert replay_metrics.counter("sim.runs").value == 0
+
+
+#: A direct-mapped 8-line L1D over a 2-way L2 with twice its line size:
+#: lines drawn from 0..39 collide in every set.
+SMALL_L1I = CacheConfig("L1I", size=256, line_size=32, associativity=1)
+SMALL_L1D = CacheConfig("L1D", size=256, line_size=32, associativity=1)
+SMALL_L2 = CacheConfig("L2", size=1024, line_size=64, associativity=2)
+
+
+def stored_stream(lines, counts, ends, writes) -> StoredTrace:
+    """An in-memory stored trace with the store's shadow annotation."""
+    lines = np.asarray(lines, dtype=np.int64)
+    return StoredTrace(
+        path=Path("synthetic.rtr"),
+        header={},
+        lines=lines,
+        counts=np.asarray(counts, dtype=np.uint32),
+        batch_ends=np.asarray(ends, dtype=np.int64),
+        batch_writes=np.asarray(writes, dtype=np.int64),
+        shadow_hits=shadow_hit_bits(
+            lines[dedup_mask(lines)], SMALL_L1D.num_lines
+        ),
+    )
+
+
+def replay_synthetic(stored, numpy_step: bool, interval: int):
+    """Replay ``stored`` into a fresh small hierarchy under a sampler
+    through one step; return the snapshot, the compulsory history and
+    the sampler's series without their timestamps."""
+    hierarchy = CacheHierarchy(SMALL_L1I, SMALL_L1D, SMALL_L2)
+    obs = Telemetry()
+    sampler = CacheSampler(obs, program="synthetic", interval=interval)
+    hierarchy.observer = sampler
+    if numpy_step:
+        replay_stream(hierarchy, stored)
+    else:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                replay_module, "fast_replay_supported", lambda *_: False
+            )
+            replay_into(hierarchy, stored)
+    sampler.sample(hierarchy)
+    return (
+        hierarchy.snapshot(), set(hierarchy.l1d._seen), sampler_series(obs)
+    )
+
+
+@st.composite
+def streams(draw):
+    """(lines, counts, batch ends, batch writes): runs of lines from a
+    small range, random counts, random batch cuts (empty batches
+    included) and random store counts per batch."""
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, 39), st.integers(1, 3)), max_size=60
+    ))
+    lines = [line for line, length in runs for _ in range(length)]
+    counts = draw(st.lists(
+        st.integers(1, 4), min_size=len(lines), max_size=len(lines)
+    ))
+    ends = sorted(draw(st.lists(st.integers(0, len(lines)), max_size=10)))
+    ends.append(len(lines))
+    writes, start = [], 0
+    for end in ends:
+        writes.append(draw(st.integers(0, sum(counts[start:end]))))
+        start = end
+    return lines, counts, ends, writes
+
+
+class TestNumpyStep:
+    """The numpy step against the dict step, chunk cut by chunk cut.
+
+    With chunks of a few entries, runs of equal lines straddle chunk
+    cuts, lines left resident by one chunk hit in the next, and
+    first-ever lines arrive in later chunks; the explicit example pins
+    all three (chunks [3, 7] [7, 3] [40, 11] [11, 3]).
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stream=streams(),
+        chunk=st.integers(1, 6),
+        interval=st.integers(1, 12),
+    )
+    @example(
+        stream=([3, 7, 7, 3, 40, 11, 11, 3], [1] * 8,
+                list(range(1, 9)), [0] * 8),
+        chunk=2,
+        interval=1,
+    )
+    def test_matches_dict_step(self, stream, chunk, interval):
+        stored = stored_stream(*stream)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(replay_module, "REPLAY_CHUNK_LINES", chunk)
+            numpy_step = replay_synthetic(stored, True, interval)
+            assert numpy_step == replay_synthetic(stored, False, interval)
+
+    def test_empty_stream(self):
+        for ends in ([], [0, 0]):
+            stored = stored_stream([], [], ends, [0] * len(ends))
+            replayed = replay_synthetic(stored, True, 1)
+            assert replayed == replay_synthetic(stored, False, 1)
+            assert replayed[0].data_refs == 0
+
+    def test_single_giant_batch(self, monkeypatch):
+        # A chunk never splits a batch: one batch is one chunk, however
+        # small the chunk size.
+        rng = np.random.default_rng(5)
+        lines = rng.integers(0, 40, size=5000).tolist()
+        counts = rng.integers(1, 4, size=5000).tolist()
+        stored = stored_stream(lines, counts, [5000], [sum(counts) // 3])
+        monkeypatch.setattr(replay_module, "REPLAY_CHUNK_LINES", 4)
+        replayed = replay_synthetic(stored, True, 64)
+        assert replayed == replay_synthetic(stored, False, 64)
+        assert replayed[0].data_refs == sum(counts)
+
+    def test_annotation_must_match_the_stream(self):
+        stored = stored_stream([1, 2, 2, 3], [1] * 4, [2, 4], [0, 1])
+        bits = stored.shadow_hits
+        for wrong in (bits[:-1], np.append(bits, 0)):
+            with pytest.raises(ValueError, match="shadow annotation"):
+                replay_stream(
+                    CacheHierarchy(SMALL_L1I, SMALL_L1D, SMALL_L2),
+                    replace(stored, shadow_hits=wrong),
+                )
+
+
+class TestReplayMemory:
+    def test_sampled_replay_memory_is_bounded_by_the_chunk(
+        self, tmp_path, vectorized_replays
+    ):
+        # The quick table-3 threaded matmul stream, replayed the way a
+        # saved campaign replays it: under a live Telemetry.  The numpy
+        # step allocates per chunk; a whole-stream temporary of this
+        # stream's 1.85M entries alone would take 15 MB.
+        config = table2_matmul_perf.config(True)
+        machine = r8000_scaled(True)
+        program = table3_matmul_cache.COLUMNS["threaded"]
+        simulator = Simulator(machine, verify=False)
+        capture = TraceCapture()
+        live = simulator.run(program(config), capture=capture)
+        store = TraceStore(tmp_path / "traces")
+        key = trace_key_for(program(config), config, machine, 4096)
+        assert store.put(key, capture, live, machine, 4096) is not None
+        del capture
+        stored = store.get(key)
+        assert len(stored.lines) > 1_800_000
+        obs = Telemetry()
+        tracemalloc.start()
+        try:
+            replayed = simulator.replay(stored, telemetry=obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vectorized_replays == [stored]
+        assert replayed.stats == live.stats
+        assert peak < 16 << 20, f"replay peaked at {peak / 2**20:.1f} MB"

@@ -3,10 +3,11 @@
 The core contract — replaying a stored stream reproduces the live
 simulation's statistics *exactly* — is pinned on all four paper
 applications, on both a direct-mapped-L1 machine (the vectorized replay
-kernel) and a 2-way machine (the chunked dict-kernel fallback).  The
-comparisons ignore ``sched.seq`` (a process-wide dispatch ordinal that
-is never serialized into manifests or tables) and ``payload`` (replay
-reproduces statistics, not program output).
+kernel, with and without a telemetry sampler) and a 2-way machine (the
+chunked dict-kernel fallback).  The comparisons ignore ``sched.seq`` (a
+process-wide dispatch ordinal that is never serialized into manifests
+or tables) and ``payload`` (replay reproduces statistics, not program
+output).
 """
 
 from dataclasses import replace
@@ -19,8 +20,10 @@ from repro.apps.nbody import NbodyConfig, VERSIONS as NBODY
 from repro.apps.pde import PdeConfig, VERSIONS as PDE
 from repro.apps.sor import SorConfig, VERSIONS as SOR
 from repro.machine.presets import r8000, r10000
+from repro.obs import Telemetry
 from repro.resilience.errors import CheckpointError
 from repro.sim.engine import Simulator
+import repro.trace.replay as replay_module
 import repro.trace.store as store_module
 from repro.trace.store import (
     TraceCapture,
@@ -35,6 +38,7 @@ from repro.trace.store import (
     trace_store_scope,
     verify_object,
 )
+from tests.conftest import sampler_series
 
 APPS = [
     ("matmul", MATMUL["threaded"], MatmulConfig.quick()),
@@ -74,25 +78,54 @@ def store_and_replay(tmp_path, factory, config, machine):
     return live, simulator.replay(stored), store, key
 
 
+def sampled_replay(machine, stored):
+    """Replay ``stored`` under a live Telemetry, as a saved campaign
+    does; return the result and the sampler's series without their
+    timestamps."""
+    obs = Telemetry()
+    result = Simulator(machine, verify=False).replay(stored, telemetry=obs)
+    return result, sampler_series(obs)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "app,factory,config", APPS, ids=[a[0] for a in APPS]
     )
-    def test_replay_matches_live_direct_mapped(self, tmp_path, app, factory, config):
-        # r8000's L1D is direct-mapped: the vectorized replay kernel.
-        live, replayed, _, key = store_and_replay(
-            tmp_path, factory, config, r8000(64)
+    def test_replay_matches_live_direct_mapped(
+        self, tmp_path, monkeypatch, vectorized_replays, app, factory, config
+    ):
+        # r8000's L1D is direct-mapped: the vectorized replay kernel,
+        # with no sidecar and with the sampler a saved campaign attaches.
+        machine = r8000(64)
+        live, replayed, store, key = store_and_replay(
+            tmp_path, factory, config, machine
         )
         assert key.app == app
         assert_same_run(live, replayed)
+        assert len(vectorized_replays) == 1
 
-    def test_replay_matches_live_two_way(self, tmp_path):
+        sampled, series = sampled_replay(machine, store.get(key))
+        assert len(vectorized_replays) == 2
+        assert_same_run(live, sampled)
+        # The dict step cuts the stream at the same chunk boundaries, so
+        # the sampler must record the same series on both.
+        monkeypatch.setattr(
+            replay_module, "fast_replay_supported", lambda *_: False
+        )
+        chunked, dict_series = sampled_replay(machine, store.get(key))
+        assert len(vectorized_replays) == 2
+        assert_same_run(live, chunked)
+        assert series["cache.l1.classes"]
+        assert series == dict_series
+
+    def test_replay_matches_live_two_way(self, tmp_path, vectorized_replays):
         # r10000's 2-way L1D declines the vectorized kernel; the chunked
         # dict-kernel fallback must be just as exact.
         live, replayed, _, _ = store_and_replay(
             tmp_path, MATMUL["threaded"], MatmulConfig.quick(), r10000(64)
         )
         assert_same_run(live, replayed)
+        assert vectorized_replays == []
 
     def test_second_lookup_hits(self, tmp_path):
         _, _, store, key = store_and_replay(
