@@ -3,12 +3,15 @@
 ``run_capture`` executes a ``program(ctx)`` callable against the *real*
 scheduler geometry (:class:`~repro.core.scheduler.LocalityScheduler`,
 :class:`~repro.core.bins.BinTable`, the real address-space allocator)
-but with the cache hierarchy replaced by a footprint recorder: every
-``th_fork`` is logged with its hints, bin, and call site, and every
-memory reference a thread proc records is attributed to that thread as a
-strided segment.  The analyzers in :mod:`repro.analysis.locality` and
-:mod:`repro.analysis.races` then reason about the captured structure
-without a single simulated cache access.
+but with no cache hierarchy: the context's recorder only feeds a
+:class:`FootprintObserver`.  Every ``th_fork`` is logged with its hints,
+bin, and call site, and every memory reference a thread proc records is
+attributed to that thread as a strided segment.  The analyzers in
+:mod:`repro.analysis.locality` and :mod:`repro.analysis.races` then
+reason about the captured structure without a single simulated cache
+access.  Capture packages allocate their own regions exactly as
+simulated ones do, so every array has its simulated address, but
+record none of their own traffic.
 
 Thread procs run in fork order — the program's own sequential order,
 which is a legal schedule for both independent packages (any order is)
@@ -23,14 +26,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.package import ThreadPackage
-from repro.core.policies import TraversalPolicy
 from repro.core.stats import SchedulingStats, next_run_seq
 from repro.machine.spec import MachineSpec
 from repro.mem.allocator import AddressSpace
-from repro.mem.arrays import ArrayHandle, RefSegment
-from repro.mem.layout import Layout
-from repro.obs.telemetry import DISABLED, Telemetry
-from repro.trace.costmodel import DEFAULT_THREAD_COSTS, ThreadCostModel
+from repro.sim.context import SimContext
+from repro.trace.recorder import (
+    RecordObserver,
+    TraceRecorder,
+    first_store,
+    grid_first_store,
+)
 
 _ANALYSIS_DIR = os.path.dirname(os.path.abspath(__file__))
 _CORE_DIR = os.path.join(
@@ -188,115 +193,60 @@ class CaptureResult:
     line_bits: int
 
 
-class FootprintRecorder:
-    """Duck-types :class:`~repro.trace.recorder.TraceRecorder`, keeping
-    footprints instead of simulating them.
+class FootprintObserver(RecordObserver):
+    """Keeps every record as :class:`FootSeg` footprints, attributed to
+    the thread running when it was recorded.
 
-    Write attribution follows the conventions of the traced programs in
-    ``repro.apps``: ``record`` marks the whole segment written when
-    ``writes`` is non-zero; ``record_interleaved`` marks the trailing
-    ``ceil(writes / count)`` segments (the store operands come last in a
-    load/load/store loop body); ``record_lines`` marks the trailing
-    entries whose accumulated counts cover ``writes``.
+    Store operands are marked written by the record API's convention
+    (:func:`~repro.trace.recorder.first_store`).  A grid yields one
+    footprint per sweep per outer iteration, as recording its iterations
+    one by one would.
     """
 
-    def __init__(self, line_bits: int) -> None:
-        self._line_bits = line_bits
-        self._app_instructions = 0
-        self._thread_instructions = 0
+    def __init__(self) -> None:
         #: Segments recorded outside any captured thread (serial phases).
         self.program_segments: list[FootSeg] = []
         self._sink: list[FootSeg] = self.program_segments
 
-    # -- attribution ----------------------------------------------------
     def attribute_to(self, sink: list[FootSeg]) -> list[FootSeg]:
         """Redirect recording into ``sink``; returns the previous sink."""
         previous = self._sink
         self._sink = sink
         return previous
 
-    # -- TraceRecorder surface ------------------------------------------
-    def record(self, segment: RefSegment, writes: int = 0) -> None:
-        self._sink.append(
+    def on_grid(self, groups, outer: int, writes: int) -> None:
+        sweeps = [sweep for group in groups for sweep in group]
+        stores_from = grid_first_store(groups, outer, writes)
+        self._sink.extend(
             FootSeg(
-                segment.base,
-                segment.stride,
-                segment.count,
-                segment.element_size,
-                written=writes > 0,
+                sweep.segment.base + sweep.step * iteration,
+                sweep.segment.stride,
+                sweep.segment.count,
+                sweep.segment.element_size,
+                written=position >= stores_from,
             )
+            for iteration in range(outer)
+            for position, sweep in enumerate(sweeps)
         )
 
-    def record_interleaved(
-        self, segments: list[RefSegment], writes: int = 0
-    ) -> None:
-        if not segments:
-            return
-        count = max(segment.count for segment in segments)
-        stores = 0
-        if writes > 0:
-            stores = min(len(segments), -(-writes // count))
-        first_store = len(segments) - stores
-        for position, segment in enumerate(segments):
-            self._sink.append(
-                FootSeg(
-                    segment.base,
-                    segment.stride,
-                    segment.count,
-                    segment.element_size,
-                    written=position >= first_store,
-                )
+    def on_lines(self, lines, counts, writes: int, line_bits: int) -> None:
+        stores_from = first_store(counts, writes)
+        self._sink.extend(
+            FootSeg(
+                line << line_bits,
+                0,
+                count,
+                1 << line_bits,
+                written=position >= stores_from,
             )
-
-    def record_lines(
-        self, lines: list[int], counts: list[int] | None = None, writes: int = 0
-    ) -> None:
-        if counts is None:
-            counts = [1] * len(lines)
-        line_size = 1 << self._line_bits
-        # Trailing entries whose accumulated reference counts cover the
-        # writes are the store operands.
-        written_from = len(lines)
-        remaining = writes
-        while remaining > 0 and written_from > 0:
-            written_from -= 1
-            remaining -= counts[written_from]
-        for position, line in enumerate(lines):
-            self._sink.append(
-                FootSeg(
-                    line << self._line_bits,
-                    0,
-                    counts[position],
-                    line_size,
-                    written=position >= written_from,
-                )
-            )
-
-    def line_of(self, address: int) -> int:
-        return address >> self._line_bits
-
-    def count_instructions(self, count: int) -> None:
-        self._app_instructions += count
-
-    def count_thread_instructions(self, count: int) -> None:
-        self._thread_instructions += count
-
-    @property
-    def app_instructions(self) -> int:
-        return self._app_instructions
-
-    @property
-    def thread_instructions(self) -> int:
-        return self._thread_instructions
-
-    @property
-    def total_instructions(self) -> int:
-        return self._app_instructions + self._thread_instructions
+            for position, (line, count) in enumerate(zip(lines, counts))
+        )
 
 
 class CaptureThreadPackage(ThreadPackage):
-    """An untraced :class:`ThreadPackage` that logs forks and attributes
-    proc footprints instead of dispatching bin by bin.
+    """A :class:`ThreadPackage` that allocates like a simulated one but
+    records none of its own traffic, logs forks, and attributes proc
+    footprints instead of dispatching bin by bin.
 
     ``th_run`` executes pending threads in *fork order* — the program's
     own sequential order, always a legal schedule — so numerics behave
@@ -304,13 +254,15 @@ class CaptureThreadPackage(ThreadPackage):
     what the locality scheduler *would* have done with them.
     """
 
-    capture_kind = "independent"
-
     def __init__(
-        self, *args: Any, capture_recorder: FootprintRecorder, **kwargs: Any
+        self,
+        *args: Any,
+        footprints: FootprintObserver,
+        kind: str = "independent",
+        **kwargs: Any,
     ) -> None:
         super().__init__(*args, **kwargs)
-        self._capture_recorder = capture_recorder
+        self._footprints = footprints
         self._pending_records: list[ForkRecord] = []
         #: Mirrors DependentThreadPackage's counters so programs that
         #: report them keep working under capture; fork order needs one
@@ -319,7 +271,7 @@ class CaptureThreadPackage(ThreadPackage):
         self.last_activations = 0
         self.last_sweeps = 0
         self.capture = PackageCapture(
-            kind=self.capture_kind,
+            kind=kind,
             block_size=self.scheduler.block_size,
             hash_size=self.scheduler.hash_size,
             fold_symmetric=self.fold_symmetric,
@@ -336,6 +288,9 @@ class CaptureThreadPackage(ThreadPackage):
         hint3: int = 0,
     ) -> None:
         self._capture_fork(func, arg1, arg2, hint1, hint2, hint3)
+
+    def _trace_fork(self, *args: Any) -> None:
+        """Record nothing: package traffic is not the program's footprint."""
 
     def _capture_fork(
         self,
@@ -395,15 +350,15 @@ class CaptureThreadPackage(ThreadPackage):
             max_chain=self.table.max_chain_length,
         )
         self.capture.runs.append(run)
-        recorder = self._capture_recorder
+        footprints = self._footprints
         self._running = True
         try:
             for record in records:
-                previous = recorder.attribute_to(record.footprint)
+                previous = footprints.attribute_to(record.footprint)
                 try:
                     record.func(record.arg1, record.arg2)
                 finally:
-                    recorder.attribute_to(previous)
+                    footprints.attribute_to(previous)
                 self._total_dispatches += 1
         finally:
             self._running = False
@@ -425,8 +380,6 @@ class DependentCaptureThreadPackage(CaptureThreadPackage):
     the program's structure.  Fork order remains a legal schedule: valid
     edges only ever point backwards.
     """
-
-    capture_kind = "dependent"
 
     def th_fork(  # type: ignore[override]
         self,
@@ -477,118 +430,23 @@ class DependentCaptureThreadPackage(CaptureThreadPackage):
         return None
 
 
-class GuardedCaptureThreadPackage(CaptureThreadPackage):
-    """Capture stand-in for ``GuardedThreadPackage``: the guard options
-    (budgets, containment) are runtime concerns with no static meaning,
-    so they are accepted and ignored."""
+@dataclass(kw_only=True)
+class CaptureContext(SimContext):
+    """A :class:`~repro.sim.context.SimContext` whose recorder has no
+    hierarchy and whose packages are the capture variants."""
 
-    capture_kind = "guarded"
+    footprints: FootprintObserver
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        kwargs.pop("thread_budget", None)
-        kwargs.pop("max_address", None)
-        kwargs.pop("strict_hints", None)
-        super().__init__(*args, **kwargs)
-
-
-@dataclass
-class CaptureContext:
-    """Duck-types :class:`~repro.sim.context.SimContext` for capture."""
-
-    machine: MachineSpec
-    recorder: FootprintRecorder
-    space: AddressSpace
-    packages: list[CaptureThreadPackage] = field(default_factory=list)
-    verify: bool = False
-    obs: Telemetry = DISABLED
-    #: No cache hierarchy exists under capture; anything poking at it
-    #: would be simulating, which is exactly what capture avoids.
-    hierarchy: Any = None
-
-    def allocate_array(
-        self,
-        name: str,
-        shape: tuple[int, ...],
-        element_size: int = 8,
-        layout: Layout = Layout.COLUMN_MAJOR,
-    ) -> ArrayHandle:
-        size = element_size
-        for dim in shape:
-            size *= dim
-        region = self.space.allocate(name, size)
-        return ArrayHandle(
-            name, region.base, shape, element_size=element_size, layout=layout
+    def build_package(self, kind: str, **kwargs: Any) -> CaptureThreadPackage:
+        if kind == "guarded":
+            # Budgets and containment are runtime concerns with no
+            # static meaning: accepted and ignored.
+            for option in ("thread_budget", "max_address", "strict_hints"):
+                kwargs.pop(option, None)
+        factory = (
+            DependentCaptureThreadPackage if kind == "dependent" else CaptureThreadPackage
         )
-
-    def make_thread_package(
-        self,
-        block_size: int = 0,
-        hash_size: int = 0,
-        fold_symmetric: bool = False,
-        policy: str | TraversalPolicy = "creation",
-        costs: ThreadCostModel = DEFAULT_THREAD_COSTS,
-    ) -> CaptureThreadPackage:
-        return self._register(
-            CaptureThreadPackage,
-            block_size=block_size,
-            hash_size=hash_size,
-            fold_symmetric=fold_symmetric,
-            policy=policy,
-            costs=costs,
-        )
-
-    def make_dependent_thread_package(
-        self,
-        block_size: int = 0,
-        hash_size: int = 0,
-        fold_symmetric: bool = False,
-        policy: str | TraversalPolicy = "creation",
-        costs: ThreadCostModel = DEFAULT_THREAD_COSTS,
-    ) -> DependentCaptureThreadPackage:
-        return self._register(
-            DependentCaptureThreadPackage,
-            block_size=block_size,
-            hash_size=hash_size,
-            fold_symmetric=fold_symmetric,
-            policy=policy,
-            costs=costs,
-        )
-
-    def make_guarded_thread_package(
-        self,
-        block_size: int = 0,
-        hash_size: int = 0,
-        fold_symmetric: bool = False,
-        policy: str | TraversalPolicy = "creation",
-        costs: ThreadCostModel = DEFAULT_THREAD_COSTS,
-        **guard_options: Any,
-    ) -> GuardedCaptureThreadPackage:
-        return self._register(
-            GuardedCaptureThreadPackage,
-            block_size=block_size,
-            hash_size=hash_size,
-            fold_symmetric=fold_symmetric,
-            policy=policy,
-            costs=costs,
-            **guard_options,
-        )
-
-    def _register(self, factory, **kwargs) -> CaptureThreadPackage:
-        package = factory(
-            l2_size=self.machine.l2.size,
-            capture_recorder=self.recorder,
-            **kwargs,
-        )
-        self.packages.append(package)
-        return package
-
-    @property
-    def total_forks(self) -> int:
-        return sum(p.total_forks for p in self.packages)
-
-    @property
-    def total_dispatches(self) -> int:
-        return sum(p.total_dispatches for p in self.packages)
+        return factory(footprints=self.footprints, kind=kind, **kwargs)
 
 
 def run_capture(
@@ -597,12 +455,21 @@ def run_capture(
     """Execute ``program`` under capture and return what it did.
 
     The address space matches the simulator's layout (same base, same
-    anti-conflict stagger) so captured hints resolve to the same arrays
-    a real run would use.
+    anti-conflict stagger, the same package regions allocated in the
+    same order) so captured hints resolve to the same arrays, at the
+    same addresses, a real run would use.
     """
     space = AddressSpace(stagger=3 * machine.l2.line_size)
-    recorder = FootprintRecorder(machine.l1d.line_bits)
-    context = CaptureContext(machine=machine, recorder=recorder, space=space)
+    recorder = TraceRecorder(None, line_bits=machine.l1d.line_bits)
+    footprints = FootprintObserver()
+    recorder.observers.append(footprints)
+    context = CaptureContext(
+        machine=machine,
+        hierarchy=None,
+        recorder=recorder,
+        space=space,
+        footprints=footprints,
+    )
     payload = program(context)
     # A program that forked but never ran leaves its last batch pending;
     # flush it so the analyzers still see those threads.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.analysis.capture import CaptureResult, CapturedRun, PackageCapture
 from repro.analysis.diagnostics import Diagnostic, Severity, make_diagnostic
+from repro.core.package import PACKAGE_REGION_PREFIX
 
 #: A single bin only counts as a collapse once this many threads share it.
 COLLAPSE_MIN_THREADS = 8
@@ -33,13 +34,14 @@ MAX_HEALTHY_CHAIN = 4
 def address_like_records(records, space) -> bool:
     """Whether a package's hints behave like memory addresses.
 
-    True when most non-zero hints resolve to a real allocation.
-    Packages hinted on a synthetic plane (the paper's N-body uses
-    scaled spatial coordinates) resolve rarely — only by accident when
-    the plane overlaps the heap — and are exempt: small or repeated
-    hint values are the point there.  Shared between the RL002/RL008
-    analyzers and the optimizer passes keyed to them, so both sides
-    agree on which packages the address rules apply to.
+    True when most non-zero hints resolve to a program array (the
+    package's own ``th_*`` regions do not count).  Packages hinted on a
+    synthetic plane (the paper's N-body uses scaled spatial
+    coordinates) resolve rarely — only by accident when the plane
+    overlaps the heap — and are exempt: small or repeated hint values
+    are the point there.  Shared between the RL002/RL008 analyzers and
+    the optimizer passes keyed to them, so both sides agree on which
+    packages the address rules apply to.
     """
     nonzero = 0
     resolved = 0
@@ -47,7 +49,8 @@ def address_like_records(records, space) -> bool:
         for hint in record.hints:
             if hint:
                 nonzero += 1
-                if space.owner_of(hint) is not None:
+                owner = space.owner_of(hint)
+                if owner and not owner.name.startswith(PACKAGE_REGION_PREFIX):
                     resolved += 1
     return nonzero > 0 and resolved >= nonzero / 2
 

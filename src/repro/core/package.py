@@ -42,6 +42,10 @@ from repro.obs.telemetry import DISABLED, Telemetry
 from repro.trace.costmodel import DEFAULT_THREAD_COSTS, ThreadCostModel
 from repro.trace.recorder import TraceRecorder
 
+#: Prefix of every region a package allocates for itself (hash table,
+#: bin headers, thread groups), which sets them apart from program data.
+PACKAGE_REGION_PREFIX = "th_"
+
 
 class ThreadPackage:
     """A locality-scheduling, run-to-completion thread package.
@@ -152,7 +156,7 @@ class ThreadPackage:
             # The C package's table is hash_size^3 pointers; cap the
             # simulated region at 16 MB of address space (virtual only --
             # just the probed entries ever reach the cache simulator).
-            name = "th_hash_table"
+            name = f"{PACKAGE_REGION_PREFIX}hash_table"
             if name in self.space:
                 # A second package in the same simulated address space.
                 suffix = 2
@@ -449,14 +453,14 @@ class ThreadPackage:
     # ------------------------------------------------------------------
     def _next_name(self, kind: str) -> str:
         self._alloc_seq += 1
-        name = f"th_{kind}_{self._alloc_seq}"
+        name = f"{PACKAGE_REGION_PREFIX}{kind}_{self._alloc_seq}"
         if self.space is not None:
             # A second package in the same simulated address space skips
             # over names its sibling already claimed (same discipline as
             # the hash-table allocation in ``th_init``).
             while name in self.space:
                 self._alloc_seq += 1
-                name = f"th_{kind}_{self._alloc_seq}"
+                name = f"{PACKAGE_REGION_PREFIX}{kind}_{self._alloc_seq}"
         return name
 
     def _bin_header_address(self) -> int:

@@ -6,9 +6,9 @@ the optimizer *rewrites* them.  A registered ``program(ctx)`` callable
 is lifted into a small IR (fork sites, hint vectors, 'after' edges, bin
 geometry — from the same capture execution the linter uses), a pipeline
 of semantics-preserving passes rewrites the IR, and the resulting plan
-is applied back to the original program by deterministic replay: a
-proxy context intercepts package creation and ``th_fork`` calls and
-substitutes the planned values, verifying at every site that the
+is applied back to the original program by deterministic replay:
+hooks on the context's package factory and ``th_fork`` calls
+substitute the planned values, verifying at every site that the
 program did what the capture said it would.
 
 Every pass is keyed to a diagnostic code (a pass never rewrites what

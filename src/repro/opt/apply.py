@@ -4,31 +4,27 @@ A registered program is a Python callable — there is no source to edit.
 What there *is* is the fork sequence: every program the optimizer
 handles is deterministic in its package-creation and ``th_fork`` order
 (that determinism is what makes capture-based linting sound in the
-first place).  So a plan is applied by replay: :func:`apply_plan` wraps
-the program in a proxy context that counts packages as they are made
-and forks as they happen, and at each coordinate named by a rewrite it
-*first verifies the program produced exactly the plan's ``before``
-value*, then substitutes ``after``.  Any mismatch — the program forked
-differently than the capture said, a rewrite was never reached — raises
+first place).  So a plan is applied by replay: :func:`apply_plan` hooks
+the context's package factory and the ``th_fork`` of the packages it
+makes, counting packages as they are made and forks as they happen,
+and at each coordinate named by a rewrite it *first verifies the
+program produced exactly the plan's ``before`` value*, then substitutes
+``after``.  Any mismatch — the program forked differently than the
+capture said, a rewrite was never reached — raises
 :class:`OptimizationError` instead of silently applying a stale plan.
 
-The same proxy machinery gives :func:`strip_hints`, the unhinted twin
-the differential check compares trace statistics against.
+The same hooks give :func:`strip_hints`, the unhinted twin the
+differential check compares trace statistics against.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable
 
 from repro.core.scheduler import default_block_size
 from repro.opt.plan import Rewrite, RewritePlan
 from repro.resilience.errors import ReproError
-
-_FACTORIES = (
-    "make_thread_package",
-    "make_dependent_thread_package",
-    "make_guarded_thread_package",
-)
 
 
 class OptimizationError(ReproError):
@@ -61,20 +57,12 @@ class _ForkHook:
         """Called after the program returns; raise if work is left."""
 
 
-class _PackageProxy:
-    """Wraps one thread package, intercepting ``th_fork`` only."""
-
-    def __init__(self, inner: Any, hook: _ForkHook, index: int) -> None:
-        self._inner = inner
-        self._hook = hook
-        self._index = index
-        self._fork_index = 0
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
+def _hooked_fork(fork: Callable[..., Any], hook: _ForkHook, package: int):
+    """A package's bound ``th_fork`` with ``hook.on_fork`` applied to the
+    hints and 'after' edges of every call."""
+    forks = itertools.count()
 
     def th_fork(
-        self,
         func: Callable[[Any, Any], Any],
         arg1: Any = None,
         arg2: Any = None,
@@ -84,16 +72,14 @@ class _PackageProxy:
         *rest: Any,
         **kwargs: Any,
     ) -> Any:
-        fork = self._fork_index
-        self._fork_index += 1
         after: tuple[int, ...] | None = None
         after_in_kwargs = "after" in kwargs
         if after_in_kwargs:
             after = tuple(kwargs["after"])
         elif rest:
             after = tuple(rest[0])
-        hints, new_after = self._hook.on_fork(
-            self._index, fork, (hint1, hint2, hint3), after
+        hints, new_after = hook.on_fork(
+            package, next(forks), (hint1, hint2, hint3), after
         )
         if new_after is not None:
             if after_in_kwargs:
@@ -102,58 +88,40 @@ class _PackageProxy:
                 rest = (new_after,) + rest[1:]
             else:
                 kwargs = dict(kwargs, after=new_after)
-        return self._inner.th_fork(
-            func, arg1, arg2, *hints, *rest, **kwargs
-        )
+        return fork(func, arg1, arg2, *hints, *rest, **kwargs)
 
-
-class _ContextProxy:
-    """Wraps a simulation/capture context, counting package creation."""
-
-    def __init__(self, inner: Any, hook: _ForkHook) -> None:
-        self._inner = inner
-        self._hook = hook
-        self._package_index = 0
-
-    def __getattr__(self, name: str) -> Any:
-        if name in _FACTORIES:
-            factory = getattr(self._inner, name)
-
-            def make(*args: Any, **kwargs: Any) -> Any:
-                return self._make(factory, args, kwargs)
-
-            return make
-        return getattr(self._inner, name)
-
-    def _make(
-        self, factory: Callable[..., Any], args: tuple, kwargs: dict
-    ) -> Any:
-        index = self._package_index
-        self._package_index += 1
-        if not self._hook.wants_package(index):
-            return factory(*args, **kwargs)
-        declared = args[0] if args else kwargs.get("block_size", 0)
-        replacement = self._hook.on_package(
-            index, declared, self._inner.machine.l2.size
-        )
-        if replacement is not None:
-            if args:
-                args = (replacement,) + tuple(args[1:])
-            else:
-                kwargs = dict(kwargs, block_size=replacement)
-        package = factory(*args, **kwargs)
-        return _PackageProxy(package, self._hook, index)
+    return th_fork
 
 
 def _wrap(program: Callable, hook_factory: Callable[[], _ForkHook]):
     """A program wrapper running ``program`` under a fresh hook.
 
-    A fresh hook per call keeps the wrapper reentrant — the differential
-    check runs it several times (unhinted, hinted, verified)."""
+    The hook sees every package the context makes — through its one
+    package factory, ``build_package`` — and every ``th_fork`` of the
+    packages it wants.  A fresh hook per call keeps the wrapper
+    reentrant — the differential check runs it several times
+    (unhinted, hinted, verified)."""
 
     def wrapped(ctx: Any) -> Any:
         hook = hook_factory()
-        payload = program(_ContextProxy(ctx, hook))
+        build = ctx.build_package
+        packages = itertools.count()
+
+        def build_package(kind: str, **kwargs: Any) -> Any:
+            index = next(packages)
+            if not hook.wants_package(index):
+                return build(kind, **kwargs)
+            replacement = hook.on_package(
+                index, kwargs.get("block_size", 0), kwargs["l2_size"]
+            )
+            if replacement is not None:
+                kwargs["block_size"] = replacement
+            package = build(kind, **kwargs)
+            package.th_fork = _hooked_fork(package.th_fork, hook, index)
+            return package
+
+        ctx.build_package = build_package
+        payload = program(ctx)
         hook.finish()
         return payload
 

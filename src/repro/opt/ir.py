@@ -19,7 +19,7 @@ render byte-identically.
 
 Fork indices are *package-wide*: the Nth ``th_fork`` on a package has
 ``index == N`` regardless of which ``th_run`` batch it lands in.  That
-is the coordinate the apply-time proxy counts in, so a plan survives
+is the coordinate the apply-time hooks count in, so a plan survives
 the round trip even when a pass reshuffles nothing but hints.
 """
 

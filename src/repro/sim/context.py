@@ -6,13 +6,11 @@ from dataclasses import dataclass, field
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.package import ThreadPackage
-from repro.core.policies import TraversalPolicy
 from repro.machine.spec import MachineSpec
 from repro.mem.allocator import AddressSpace
 from repro.mem.arrays import ArrayHandle
 from repro.mem.layout import Layout
 from repro.obs.telemetry import DISABLED, Telemetry
-from repro.trace.costmodel import DEFAULT_THREAD_COSTS, ThreadCostModel
 from repro.trace.recorder import TraceRecorder
 
 
@@ -23,11 +21,13 @@ class SimContext:
     Programs allocate their arrays through :meth:`allocate_array`, record
     references through :attr:`recorder`, and (for threaded versions)
     obtain an instrumented thread package through
-    :meth:`make_thread_package`.
+    :meth:`make_thread_package`.  Capture and SMP contexts are
+    subclasses differing only in their recorder and :meth:`build_package`
+    (``hierarchy`` is ``None`` under capture).
     """
 
     machine: MachineSpec
-    hierarchy: CacheHierarchy
+    hierarchy: CacheHierarchy | None
     recorder: TraceRecorder
     space: AddressSpace
     packages: list[ThreadPackage] = field(default_factory=list)
@@ -63,78 +63,47 @@ class SimContext:
             name, region.base, shape, element_size=element_size, layout=layout
         )
 
-    def make_thread_package(
-        self,
-        block_size: int = 0,
-        hash_size: int = 0,
-        fold_symmetric: bool = False,
-        policy: str | TraversalPolicy = "creation",
-        costs: ThreadCostModel = DEFAULT_THREAD_COSTS,
-    ) -> ThreadPackage:
+    def make_thread_package(self, **options) -> ThreadPackage:
         """An instrumented thread package wired to this context's recorder.
 
-        The package's own memory behaviour (thread records, bin headers,
-        hash probes) is simulated alongside the application's.
+        ``options`` are :class:`~repro.core.package.ThreadPackage`'s
+        (``block_size``, ``hash_size``, ``fold_symmetric``, ``policy``,
+        ``costs``).  The package's own memory behaviour (thread records,
+        bin headers, hash probes) is simulated alongside the
+        application's.
         """
-        return self._register(
-            ThreadPackage,
-            block_size=block_size,
-            hash_size=hash_size,
-            fold_symmetric=fold_symmetric,
-            policy=policy,
-            costs=costs,
-        )
+        return self._register("independent", **options)
 
-    def make_dependent_thread_package(
-        self,
-        block_size: int = 0,
-        hash_size: int = 0,
-        fold_symmetric: bool = False,
-        policy: str | TraversalPolicy = "creation",
-        costs: ThreadCostModel = DEFAULT_THREAD_COSTS,
-    ):
+    def make_dependent_thread_package(self, **options) -> ThreadPackage:
         """An instrumented :class:`~repro.core.deps.DependentThreadPackage`
-        (the Section 6 dependency extension)."""
-        from repro.core.deps import DependentThreadPackage
+        (the Section 6 dependency extension); ``options`` as for
+        :meth:`make_thread_package`."""
+        return self._register("dependent", **options)
 
-        return self._register(
-            DependentThreadPackage,
-            block_size=block_size,
-            hash_size=hash_size,
-            fold_symmetric=fold_symmetric,
-            policy=policy,
-            costs=costs,
-        )
-
-    def make_guarded_thread_package(
-        self,
-        block_size: int = 0,
-        hash_size: int = 0,
-        fold_symmetric: bool = False,
-        policy: str | TraversalPolicy = "creation",
-        costs: ThreadCostModel = DEFAULT_THREAD_COSTS,
-        thread_budget: int = 0,
-        max_address: int | None = None,
-        strict_hints: bool = False,
-    ) -> ThreadPackage:
+    def make_guarded_thread_package(self, **options) -> ThreadPackage:
         """An instrumented :class:`~repro.verify.guarded.GuardedThreadPackage`
-        (validated hints, contained thread procs, optional step budget)."""
-        from repro.verify.guarded import GuardedThreadPackage
+        (validated hints, contained thread procs, optional step budget);
+        ``options`` as for :meth:`make_thread_package`, plus the guard's
+        ``thread_budget``, ``max_address`` and ``strict_hints``."""
+        return self._register("guarded", **options)
 
-        return self._register(
-            GuardedThreadPackage,
-            block_size=block_size,
-            hash_size=hash_size,
-            fold_symmetric=fold_symmetric,
-            policy=policy,
-            costs=costs,
-            thread_budget=thread_budget,
-            max_address=max_address,
-            strict_hints=strict_hints,
-        )
+    def build_package(self, kind: str, **kwargs) -> ThreadPackage:
+        """The package factory: a ``kind`` package (``"independent"``,
+        ``"dependent"`` or ``"guarded"``) from the assembled arguments —
+        all that capture and SMP contexts override."""
+        if kind == "dependent":
+            from repro.core.deps import DependentThreadPackage
 
-    def _register(self, factory, **kwargs) -> ThreadPackage:
-        package = factory(
+            return DependentThreadPackage(**kwargs)
+        if kind == "guarded":
+            from repro.verify.guarded import GuardedThreadPackage
+
+            return GuardedThreadPackage(**kwargs)
+        return ThreadPackage(**kwargs)
+
+    def _register(self, kind: str, **kwargs) -> ThreadPackage:
+        package = self.build_package(
+            kind,
             l2_size=self.machine.l2.size,
             recorder=self.recorder,
             address_space=self.space,

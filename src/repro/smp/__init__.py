@@ -15,7 +15,10 @@ and bins that share blocks can be kept on the same processor across runs
 * :class:`SmpMachine` — P copies of a base machine sharing memory.
 * :class:`SmpSimulator` / :class:`SmpResult` — per-CPU cache simulation,
   makespan timing, speedup versus the serial schedule, and a
-  false-sharing report (L2 lines written from more than one CPU).
+  false-sharing report (L2 lines written from more than one CPU).  One
+  trace recorder serves every CPU, retargeted at the running CPU's
+  hierarchy; :mod:`repro.smp.ledger` observes it to book instructions
+  and written lines per CPU.
 * :mod:`repro.smp.assign` — bin-to-CPU policies: round-robin, contiguous
   chunks, load-balanced (LPT), and affinity hashing.
 """
@@ -23,7 +26,6 @@ and bins that share blocks can be kept on the same processor across runs
 from repro.smp.assign import ASSIGNMENT_POLICIES, affinity_hash, chunked, lpt_balance, round_robin
 from repro.smp.engine import SmpResult, SmpSimulator
 from repro.smp.machine import SmpMachine
-from repro.smp.recorder import SwitchableRecorder
 
 __all__ = [
     "ASSIGNMENT_POLICIES",
@@ -34,5 +36,4 @@ __all__ = [
     "SmpResult",
     "SmpSimulator",
     "SmpMachine",
-    "SwitchableRecorder",
 ]

@@ -1,8 +1,10 @@
 """The SMP simulator: per-processor cache simulation + makespan timing.
 
-Existing traced programs run unchanged: :class:`SmpContext` mirrors the
-uniprocessor :class:`~repro.sim.context.SimContext` interface, and any
-``make_thread_package`` it hands out fans bins across processors.
+Existing traced programs run unchanged: :class:`SmpContext` is a
+:class:`~repro.sim.context.SimContext` whose one recorder is retargeted
+at the running processor's hierarchy, and any ``make_thread_package``
+it hands out fans bins across processors (dependent and guarded
+packages have no SMP schedule and are rejected).
 
 The timing model (documented in DESIGN.md's SMP section): forking is a
 serial section on processor 0 charged at the Table 1 fork cost; each
@@ -17,81 +19,54 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.cache.hierarchy import HierarchyStats
-from repro.core.policies import TraversalPolicy
+from repro.cache.hierarchy import CacheHierarchy, HierarchyStats
 from repro.core.stats import SchedulingStats
 from repro.machine.timing import TimeBreakdown, TimingInputs, TimingModel
 from repro.mem.allocator import AddressSpace
-from repro.mem.arrays import ArrayHandle
-from repro.mem.layout import Layout
+from repro.resilience.errors import ConfigError
+from repro.sim.context import SimContext
 from repro.smp.assign import AssignmentPolicy
+from repro.smp.ledger import CpuLedger
 from repro.smp.machine import SmpMachine
 from repro.smp.package import SmpThreadPackage
-from repro.smp.recorder import SwitchableRecorder
-from repro.trace.costmodel import DEFAULT_THREAD_COSTS, ThreadCostModel
 from repro.trace.recorder import TraceRecorder
 
 
-@dataclass
-class SmpContext:
-    """Drop-in replacement for ``SimContext`` on an SMP machine."""
+@dataclass(kw_only=True)
+class SmpContext(SimContext):
+    """Drop-in replacement for ``SimContext`` on an SMP machine.
 
-    smp: SmpMachine
-    recorder: SwitchableRecorder
-    space: AddressSpace
-    assignment: str | AssignmentPolicy
-    packages: list[SmpThreadPackage] = field(default_factory=list)
+    ``machine`` is the per-processor machine (programs size blocks from
+    its L2) and ``hierarchy`` the running processor's.
+    """
 
-    @property
-    def machine(self):
-        """The per-processor machine (programs size blocks from its L2)."""
-        return self.smp.base
+    hierarchies: list[CacheHierarchy]
+    ledger: CpuLedger
+    assignment: str | AssignmentPolicy = "chunked"
 
-    @property
-    def hierarchy(self):
-        """The *current* processor's hierarchy."""
-        return self.recorder.hierarchy
+    def switch_to(self, cpu: int) -> None:
+        """Run on processor ``cpu``: drain the recorder into the current
+        hierarchy, retarget it at ``cpu``'s, and book to ``cpu``."""
+        if not 0 <= cpu < len(self.hierarchies):
+            raise IndexError(f"no processor {cpu}")
+        self.hierarchy = self.hierarchies[cpu]
+        self.recorder.retarget(self.hierarchy)
+        self.ledger.cpu = cpu
 
-    def allocate_array(
-        self,
-        name: str,
-        shape: tuple[int, ...],
-        element_size: int = 8,
-        layout: Layout = Layout.COLUMN_MAJOR,
-    ) -> ArrayHandle:
-        size = element_size
-        for dim in shape:
-            size *= dim
-        region = self.space.allocate(name, size)
-        return ArrayHandle(
-            name, region.base, shape, element_size=element_size, layout=layout
-        )
-
-    def make_thread_package(
-        self,
-        block_size: int = 0,
-        hash_size: int = 0,
-        fold_symmetric: bool = False,
-        policy: str | TraversalPolicy = "creation",
-        costs: ThreadCostModel = DEFAULT_THREAD_COSTS,
-    ) -> SmpThreadPackage:
-        package = SmpThreadPackage(
-            self.smp.base.l2.size,
-            block_size=block_size,
-            hash_size=hash_size,
-            fold_symmetric=fold_symmetric,
-            policy=policy,
-            smp_recorder=self.recorder,
+    def build_package(self, kind: str, **kwargs: Any) -> SmpThreadPackage:
+        if kind != "independent":
+            raise ConfigError(
+                f"an SMP run cannot schedule a {kind} thread package: only "
+                f"independent packages have their bins split across "
+                f"processors",
+                field="package",
+            )
+        return SmpThreadPackage(
+            processors=len(self.hierarchies),
+            switch_to=self.switch_to,
             assignment=self.assignment,
-            address_space=self.space,
-            costs=costs,
+            **kwargs,
         )
-        self.packages.append(package)
-        return package
-
-    @property
-    def total_forks(self) -> int:
-        return sum(p.total_forks for p in self.packages)
 
 
 @dataclass(frozen=True)
@@ -127,7 +102,7 @@ class SmpResult:
     written_lines: int
     #: ``line -> processors`` for the write-shared L2 lines — the
     #: measured counterpart of the static RC003 advisory (see
-    #: ``repro.smp.recorder``).
+    #: ``repro.smp.ledger``).
     write_sharers: dict[int, frozenset[int]] = field(default_factory=dict)
     payload: Any = None
 
@@ -190,15 +165,16 @@ class SmpSimulator:
         code_footprint: int = 4096,
     ) -> SmpResult:
         hierarchies = self.machine.build_hierarchies()
-        recorders = [TraceRecorder(h) for h in hierarchies]
-        switchable = SwitchableRecorder(
-            recorders, self.machine.base.l2.line_bits
-        )
-        space = AddressSpace(stagger=3 * self.machine.base.l2.line_size)
+        recorder = TraceRecorder(hierarchies[0])
+        ledger = CpuLedger(self.machine.processors, self.machine.base.l2.line_bits)
+        recorder.observers.append(ledger)
         context = SmpContext(
-            smp=self.machine,
-            recorder=switchable,
-            space=space,
+            machine=self.machine.base,
+            hierarchy=hierarchies[0],
+            recorder=recorder,
+            space=AddressSpace(stagger=3 * self.machine.base.l2.line_size),
+            hierarchies=hierarchies,
+            ledger=ledger,
             assignment=assignment,
         )
         if code_footprint:
@@ -207,17 +183,16 @@ class SmpSimulator:
         payload = program(context)
 
         cpus = []
-        for cpu, (hierarchy, recorder) in enumerate(zip(hierarchies, recorders)):
+        for cpu, hierarchy in enumerate(hierarchies):
             stats = hierarchy.snapshot()
+            dispatches = sum(p.cpu_dispatches[cpu] for p in context.packages)
             exec_time = self.timing.estimate(
                 TimingInputs(
-                    instructions=recorder.app_instructions,
+                    instructions=ledger.app_instructions[cpu],
                     l1_misses=stats.l1.misses,
                     l2_misses=stats.l2.misses,
                     forks=0,
-                    thread_runs=sum(
-                        p.cpu_dispatches[cpu] for p in context.packages
-                    ),
+                    thread_runs=dispatches,
                 )
             )
             bins = sum(p.cpu_bins[cpu] for p in context.packages)
@@ -225,10 +200,8 @@ class SmpSimulator:
                 CpuReport(
                     cpu=cpu,
                     stats=stats,
-                    app_instructions=recorder.app_instructions,
-                    dispatches=sum(
-                        p.cpu_dispatches[cpu] for p in context.packages
-                    ),
+                    app_instructions=ledger.app_instructions[cpu],
+                    dispatches=dispatches,
                     bins=bins,
                     exec_time=exec_time,
                     dispatch_time=bins * self.machine.dispatch_cost_s,
@@ -243,6 +216,7 @@ class SmpSimulator:
         assignment_name = assignment if isinstance(assignment, str) else getattr(
             assignment, "__name__", "custom"
         )
+        sharers = ledger.write_sharer_map
         return SmpResult(
             program=name or getattr(program, "__name__", "program"),
             machine=self.machine.name,
@@ -252,8 +226,8 @@ class SmpSimulator:
             forks=forks,
             fork_time=forks * self.machine.base.fork_cost_s,
             sched=sched,
-            write_shared_lines=switchable.write_shared_lines,
-            written_lines=switchable.written_lines,
-            write_sharers=switchable.write_sharer_map,
+            write_shared_lines=len(sharers),
+            written_lines=ledger.written_lines,
+            write_sharers=sharers,
             payload=payload,
         )

@@ -4,7 +4,7 @@
 unchanged (forking is a serial section, executed on processor 0);
 ``th_run`` partitions the ready list across processors with an
 assignment policy and dispatches each processor's bins against its own
-private cache hierarchy (via the switchable recorder).
+private cache hierarchy (switching the run's one recorder to it first).
 
 The simulation executes processors one after another — their caches are
 private, so only the shared-memory *timing* needs the parallel view,
@@ -13,50 +13,49 @@ which the engine reconstructs as a makespan.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.core.package import ThreadPackage
-from repro.core.stats import SchedulingStats, next_run_seq
 from repro.smp.assign import AssignmentPolicy, resolve_assignment
-from repro.smp.recorder import SwitchableRecorder
 
 
 class SmpThreadPackage(ThreadPackage):
-    """A :class:`ThreadPackage` whose ``th_run`` fans bins out to CPUs."""
+    """A :class:`ThreadPackage` whose ``th_run`` fans bins out to CPUs.
+
+    ``switch_to(cpu)`` moves the run's recording to processor ``cpu``
+    (:meth:`repro.smp.engine.SmpContext.switch_to`).
+    """
 
     def __init__(
         self,
         *args,
-        smp_recorder: SwitchableRecorder,
+        processors: int,
+        switch_to: Callable[[int], None],
         assignment: str | AssignmentPolicy = "chunked",
         **kwargs,
     ) -> None:
-        super().__init__(*args, recorder=smp_recorder, **kwargs)
-        self.smp_recorder = smp_recorder
+        super().__init__(*args, **kwargs)
+        self.switch_to = switch_to
         self.assignment = resolve_assignment(assignment)
-        self.processors = len(smp_recorder.recorders)
+        self.processors = processors
         #: Per-CPU totals accumulated over every th_run.
         self.cpu_dispatches = [0] * self.processors
         self.cpu_bins = [0] * self.processors
 
-    def th_run(self, keep: int = 0) -> SchedulingStats:
-        """Partition bins over the processors and run each queue.
+    def execute_bins(self, bins) -> list[int]:
+        """Partition ``bins`` over the processors and run each queue.
 
-        Bin order within a processor follows the traversal policy (the
-        locality tour survives on each CPU); the assignment policy
+        ``th_run`` hands in the ready list in traversal-policy order, so
+        the locality tour survives on each CPU; the assignment policy
         decides which processor owns which bin.
         """
-        ordered = self.policy(self.table.ready)
-        queues = self.assignment(ordered, self.processors)
         counts: list[int] = []
-        for cpu, queue in enumerate(queues):
-            self.smp_recorder.switch_to(cpu)
+        for cpu, queue in enumerate(self.assignment(bins, self.processors)):
+            self.switch_to(cpu)
             before = self._total_dispatches
-            cpu_counts = self.execute_bins(queue)
+            cpu_counts = super().execute_bins(queue)
             counts.extend(cpu_counts)
             self.cpu_dispatches[cpu] += self._total_dispatches - before
             self.cpu_bins[cpu] += len(cpu_counts)
-        self.smp_recorder.switch_to(0)
-        if not keep:
-            self.table.clear_threads()
-        stats = SchedulingStats.from_counts(counts, seq=next_run_seq())
-        self.run_history.append(stats)
-        return stats
+        self.switch_to(0)
+        return counts

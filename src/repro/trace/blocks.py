@@ -17,7 +17,7 @@ on where batch boundaries fall (the golden-equivalence suite pins this).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,20 +53,17 @@ class SegmentSweep:
             )
 
 
-def grid_to_lines(
-    groups: Sequence[Sequence[SegmentSweep]],
-    outer: int,
-    line_bits: int,
-) -> tuple[list[int], list[int]]:
-    """Line stream for ``outer`` iterations of a grid of sweeps.
+def grid_addresses(
+    groups: Sequence[Sequence[SegmentSweep]], outer: int
+) -> Iterator[np.ndarray]:
+    """The addresses ``outer`` iterations of a grid reference, in order,
+    as int64 chunks of whole iterations (about ``_CHUNK_ELEMENTS`` each).
 
     Each entry of ``groups`` is a list of sweeps walked in lock-step,
     element by element (the :func:`~repro.trace.recorder.interleave_segments`
     model); a singleton group is a plain sequential segment.  One outer
     iteration references every group in order; the next iteration repeats
-    with each sweep's base advanced by its ``step``.  The result is the
-    run-length-compressed concatenation — bit-identical to recording the
-    same loops one iteration at a time.
+    with each sweep's base advanced by its ``step``.
     """
     if outer < 1:
         raise ValueError(f"outer iteration count must be positive, got {outer}")
@@ -76,13 +73,11 @@ def grid_to_lines(
     step_parts: list[np.ndarray] = []
     for group in groups:
         count = group[0].segment.count
-        for sweep in group:
-            if sweep.segment.count != count:
-                raise ValueError(
-                    "interleaved sweeps must have equal counts; got "
-                    f"{[s.segment.count for s in group]}"
-                )
-            sweep.validate(line_bits)
+        if any(sweep.segment.count != count for sweep in group):
+            raise ValueError(
+                "interleaved sweeps must have equal counts; got "
+                f"{[s.segment.count for s in group]}"
+            )
         columns = [
             sweep.segment.base
             + sweep.segment.stride * np.arange(count, dtype=np.int64)
@@ -97,14 +92,28 @@ def grid_to_lines(
     width = len(row_base)
 
     rows_per_chunk = max(1, _CHUNK_ELEMENTS // width)
-    lines: list[int] = []
-    counts: list[int] = []
     for start in range(0, outer, rows_per_chunk):
         iters = np.arange(
             start, min(start + rows_per_chunk, outer), dtype=np.int64
         )
         addresses = row_base[None, :] + iters[:, None] * row_step[None, :]
-        chunk_lines, chunk_counts = _compress(addresses.reshape(-1) >> line_bits)
+        yield addresses.reshape(-1)
+
+
+def grid_to_lines(
+    groups: Sequence[Sequence[SegmentSweep]],
+    outer: int,
+    line_bits: int,
+) -> tuple[list[int], list[int]]:
+    """:func:`grid_addresses` as a run-length-compressed line stream —
+    bit-identical to recording the same loops one iteration at a time."""
+    for group in groups:
+        for sweep in group:
+            sweep.validate(line_bits)
+    lines: list[int] = []
+    counts: list[int] = []
+    for addresses in grid_addresses(groups, outer):
+        chunk_lines, chunk_counts = _compress(addresses >> line_bits)
         if lines and chunk_lines and lines[-1] == chunk_lines[0]:
             counts[-1] += chunk_counts[0]
             chunk_lines = chunk_lines[1:]

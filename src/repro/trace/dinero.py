@@ -13,8 +13,8 @@ A command-line entry point is installed as ``repro-dinero``::
     repro-dinero trace.din --l1-size 16384 --l2-size 2097152
 
 Programs simulated by :class:`~repro.sim.engine.Simulator` can export
-their reference stream with a :class:`DinWriter` attached to the
-recorder, producing traces other cache simulators can consume.
+their reference stream with a :class:`DinWriter` attached as an observer
+of the recorder, producing traces other cache simulators can consume.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import Iterable, Iterator, TextIO
 
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import CacheHierarchy, HierarchyStats
-from repro.mem.arrays import RefSegment
+from repro.trace.blocks import grid_addresses
+from repro.trace.recorder import RecordObserver
 
 READ = 0
 WRITE = 1
@@ -69,17 +70,15 @@ def read_din(stream: TextIO) -> Iterator[tuple[int, int]]:
         yield label, address
 
 
-class DinWriter:
-    """Tees a recorder's reference stream into a din-format file.
+class DinWriter(RecordObserver):
+    """Writes a recorder's references to a din-format file.
 
-    Attach with :meth:`wrap`: the returned object exposes the
-    :class:`~repro.trace.recorder.TraceRecorder` interface, forwarding
-    every call while expanding segments into individual references.
-    Instruction *counts* have no addresses in this reproduction, so
-    ifetch records are emitted against a synthetic code region (one
-    fetch per counted instruction would explode the file; they are
-    emitted per-call at the call's code address instead, and excluded
-    by default).
+    Attach it as an observer — ``recorder.observers.append(DinWriter(f))``
+    — and every record is expanded in the order the simulator sees it,
+    its last ``writes`` references labelled stores.  Instruction
+    *counts* have no addresses in this reproduction, so each counting
+    call emits one ifetch against a synthetic code address (excluded by
+    default).
     """
 
     def __init__(self, stream: TextIO, include_instructions: bool = False) -> None:
@@ -87,78 +86,37 @@ class DinWriter:
         self.include_instructions = include_instructions
         self.references_written = 0
 
-    def wrap(self, recorder):
-        return _TeeRecorder(recorder, self)
+    def on_grid(self, groups, outer: int, writes: int) -> None:
+        if not all(groups):
+            return  # an empty interleave references nothing
+        total = outer * sum(len(group) * group[0].segment.count for group in groups)
+        chunks = grid_addresses(groups, outer)
+        self._emit((a for chunk in chunks for a in chunk.tolist()), total, writes)
 
-    def _emit_segment(self, segment: RefSegment, writes: int) -> None:
-        address = segment.base
-        reads = segment.count - writes
-        for index in range(segment.count):
-            label = READ if index < reads else WRITE
-            self.stream.write(f"{label} {address:x}\n")
-            address += segment.stride
-        self.references_written += segment.count
-
-    def _emit_lines(self, lines, counts, writes: int, line_bytes: int) -> None:
-        total = (
-            sum(counts) if counts is not None else len(lines)
+    def on_lines(self, lines, counts, writes: int, line_bits: int) -> None:
+        addresses = (
+            line << line_bits
+            for line, repeat in zip(lines, counts)
+            for _ in range(repeat)
         )
+        self._emit(addresses, sum(counts), writes)
+
+    def _emit(self, addresses, total: int, writes: int) -> None:
+        """Write ``total`` references, the last ``writes`` as stores."""
         reads = total - writes
-        emitted = 0
-        for position, line in enumerate(lines):
-            repeat = counts[position] if counts is not None else 1
-            for _ in range(repeat):
-                label = READ if emitted < reads else WRITE
-                self.stream.write(f"{label} {line * line_bytes:x}\n")
-                emitted += 1
-        self.references_written += emitted
+        self.references_written += write_din(
+            self.stream,
+            (
+                (READ if index < reads else WRITE, address)
+                for index, address in enumerate(addresses)
+            ),
+        )
 
-    def _emit_ifetch(self, count: int) -> None:
+    def on_instructions(self, count: int, thread: bool) -> None:
         if self.include_instructions and count > 0:
-            self.stream.write(f"{IFETCH} {0x40000000:x}\n")
-            self.references_written += 1
-
-
-class _TeeRecorder:
-    """Forwards the recorder interface while writing a din trace."""
-
-    def __init__(self, recorder, writer: DinWriter) -> None:
-        self._recorder = recorder
-        self._writer = writer
-        self._line_bytes = 1 << recorder.hierarchy.l1d.config.line_bits
-
-    def record(self, segment: RefSegment, writes: int = 0) -> None:
-        self._writer._emit_segment(segment, writes)
-        self._recorder.record(segment, writes=writes)
-
-    def record_interleaved(self, segments, writes: int = 0) -> None:
-        # Interleave the emission the way the cache sees it.
-        if segments:
-            reads = sum(s.count for s in segments) - writes
-            emitted = 0
-            for index in range(segments[0].count):
-                for segment in segments:
-                    label = READ if emitted < reads else WRITE
-                    address = segment.base + index * segment.stride
-                    self._writer.stream.write(f"{label} {address:x}\n")
-                    emitted += 1
-            self._writer.references_written += emitted
-        self._recorder.record_interleaved(segments, writes=writes)
-
-    def record_lines(self, lines, counts=None, writes: int = 0) -> None:
-        self._writer._emit_lines(lines, counts, writes, self._line_bytes)
-        self._recorder.record_lines(lines, counts, writes=writes)
-
-    def count_instructions(self, count: int) -> None:
-        self._writer._emit_ifetch(count)
-        self._recorder.count_instructions(count)
-
-    def count_thread_instructions(self, count: int) -> None:
-        self._writer._emit_ifetch(count)
-        self._recorder.count_thread_instructions(count)
-
-    def __getattr__(self, name):
-        return getattr(self._recorder, name)
+            self.references_written += write_din(
+                self.stream, [(IFETCH, 0x40000000)]
+            )
 
 
 def simulate_din(

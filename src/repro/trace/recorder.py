@@ -9,9 +9,14 @@ streams with numpy and feeds the hierarchy in batches of at least
 :data:`COALESCE_ENTRIES` entries, so arbitrarily long traces cost
 constant memory and the kernel's per-batch set-up is paid once per few
 thousand entries rather than once per record.
+
+Din export, the SMP ledger and capture's footprints observe the same
+records through the recorder's ``observers`` list.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -138,6 +143,52 @@ def interleave_segments(
     return _compress(addresses >> line_bits)
 
 
+def first_store(sizes: Sequence[int], writes: int) -> int:
+    """Index of the first store among operands of ``sizes`` references.
+
+    The record API's store convention: a loop body loads before it
+    stores, so the stores are the fewest trailing operands whose counts
+    cover ``writes`` — for ``record_interleaved`` the trailing
+    ``ceil(writes / count)`` segments.
+    """
+    index = len(sizes)
+    remaining = writes
+    while remaining > 0 and index > 0:
+        index -= 1
+        remaining -= sizes[index]
+    return index
+
+
+def grid_first_store(groups, outer: int, writes: int) -> int:
+    """:func:`first_store` among a grid's sweeps, flattened group by
+    group, for one outer iteration's ``ceil(writes / outer)`` stores."""
+    sizes = [sweep.segment.count for group in groups for sweep in group]
+    return first_store(sizes, -(-writes // outer))
+
+
+class RecordObserver:
+    """Sees every record a :class:`TraceRecorder` takes, before line
+    conversion, in one normalised form (the defaults ignore it).
+
+    ``record``, ``record_interleaved`` and ``record_grid`` arrive at
+    :meth:`on_grid` as ``(groups, outer, writes)`` (see
+    :func:`~repro.trace.blocks.grid_to_lines`); a plain record is one
+    group of one sweep with ``outer=1``.  ``record_lines`` arrives at
+    :meth:`on_lines` with counts filled in and the L1D line size.
+    """
+
+    def on_grid(self, groups, outer: int, writes: int) -> None:
+        pass
+
+    def on_lines(
+        self, lines: list[int], counts: list[int], writes: int, line_bits: int
+    ) -> None:
+        pass
+
+    def on_instructions(self, count: int, thread: bool) -> None:
+        pass
+
+
 class TraceRecorder:
     """Streams a program's references and instruction counts to a hierarchy.
 
@@ -148,16 +199,33 @@ class TraceRecorder:
     hierarchy's ``drain_hook``, which ``snapshot``, ``flush`` and
     ``reset`` call first.  A record that alone reaches the threshold goes
     straight through, uncopied, after the buffer ahead of it.
+
+    Every :class:`RecordObserver` in :attr:`observers` sees each record
+    first.  Built with ``hierarchy=None`` (and ``line_bits``) the
+    recorder converts nothing and only feeds its observers — capture
+    execution (:mod:`repro.analysis.capture`).
     """
 
-    def __init__(self, hierarchy: CacheHierarchy) -> None:
+    def __init__(self, hierarchy: CacheHierarchy | None, line_bits: int = 0) -> None:
         self.hierarchy = hierarchy
-        self._line_bits = hierarchy.l1d.config.line_bits
+        if hierarchy is not None:
+            line_bits = hierarchy.l1d.config.line_bits
+            hierarchy.drain_hook = self.drain
+        self._line_bits = line_bits
+        self.observers: list[RecordObserver] = []
         self._app_instructions = 0
         self._thread_instructions = 0
         self._lines: list[int] = []
         self._counts: list[int] = []
         self._writes = 0
+
+    def retarget(self, hierarchy: CacheHierarchy) -> None:
+        """Drain into the current hierarchy, then feed ``hierarchy`` (of
+        the same L1D geometry) — an SMP run's processor switch."""
+        self.drain()
+        if self.hierarchy is not None:
+            self.hierarchy.drain_hook = None
+        self.hierarchy = hierarchy
         hierarchy.drain_hook = self.drain
 
     # ------------------------------------------------------------------
@@ -165,16 +233,22 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     def record(self, segment: RefSegment, writes: int = 0) -> None:
         """Record one segment of references (``writes`` of them stores)."""
-        lines, counts = segment_to_lines(segment, self._line_bits)
-        self._append(lines, counts, writes)
+        if self.observers:
+            self._observe_segments((segment,), writes)
+        if self.hierarchy is not None:
+            lines, counts = segment_to_lines(segment, self._line_bits)
+            self._append(lines, counts, writes)
 
     def record_interleaved(
         self, segments: list[RefSegment], writes: int = 0
     ) -> None:
         """Record several segments walked in lock-step (see
         :func:`interleave_segments`)."""
-        lines, counts = interleave_segments(segments, self._line_bits)
-        self._append(lines, counts, writes)
+        if self.observers:
+            self._observe_segments(segments, writes)
+        if self.hierarchy is not None:
+            lines, counts = interleave_segments(segments, self._line_bits)
+            self._append(lines, counts, writes)
 
     def record_grid(self, groups, outer: int, writes: int = 0) -> None:
         """Record ``outer`` iterations of a grid of
@@ -184,15 +258,32 @@ class TraceRecorder:
         :func:`repro.trace.blocks.grid_to_lines`)."""
         from repro.trace.blocks import grid_to_lines
 
-        lines, counts = grid_to_lines(groups, outer, self._line_bits)
-        self._append(lines, counts, writes)
+        for observer in self.observers:
+            observer.on_grid(groups, outer, writes)
+        if self.hierarchy is not None:
+            lines, counts = grid_to_lines(groups, outer, self._line_bits)
+            self._append(lines, counts, writes)
 
     def record_lines(
         self, lines: list[int], counts: list[int] | None = None, writes: int = 0
     ) -> None:
         """Record a pre-computed L1-line stream (escape hatch for programs
         with irregular reference patterns, e.g. tree traversals)."""
-        self._append(lines, counts, writes)
+        if self.observers:
+            tally = [1] * len(lines) if counts is None else counts
+            for observer in self.observers:
+                observer.on_lines(lines, tally, writes, self._line_bits)
+        if self.hierarchy is not None:
+            self._append(lines, counts, writes)
+
+    def _observe_segments(self, segments, writes: int) -> None:
+        """Show observers a plain or interleaved record as a one-group,
+        one-iteration grid."""
+        from repro.trace.blocks import SegmentSweep
+
+        groups = (tuple(SegmentSweep(segment) for segment in segments),)
+        for observer in self.observers:
+            observer.on_grid(groups, 1, writes)
 
     def _append(
         self, lines: list[int], counts: list[int] | None, writes: int
@@ -202,7 +293,7 @@ class TraceRecorder:
         check its ``writes`` against its own references and buffer it."""
         if len(lines) >= COALESCE_ENTRIES:
             self.drain()
-            self.hierarchy.access_data(lines, counts, writes=writes)
+            self._feed(lines, counts, writes)
             return
         check_writes(writes, len(lines) if counts is None else sum(counts))
         self._lines += lines
@@ -218,7 +309,12 @@ class TraceRecorder:
             return
         counts, writes = self._counts, self._writes
         self._lines, self._counts, self._writes = [], [], 0
-        self.hierarchy.access_data(lines, counts, writes=writes)
+        self._feed(lines, counts, writes)
+
+    def _feed(self, lines: list[int], counts: list[int] | None, writes: int) -> None:
+        hierarchy = self.hierarchy
+        assert hierarchy is not None, "an observers-only recorder converts nothing"
+        hierarchy.access_data(lines, counts, writes=writes)
 
     def line_of(self, address: int) -> int:
         """The L1D line number containing ``address``."""
@@ -229,7 +325,7 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     def count_instructions(self, count: int) -> None:
         """Record ``count`` application instructions (counted, not traced)."""
-        self._count(count)
+        self._count(count, False)
         self._app_instructions += count
 
     def count_thread_instructions(self, count: int) -> None:
@@ -240,13 +336,17 @@ class TraceRecorder:
         costs; thread instructions appear in the I-fetch totals of the
         cache tables but are excluded from modeled time (see DESIGN.md).
         """
-        self._count(count)
+        self._count(count, True)
         self._thread_instructions += count
 
-    def _count(self, count: int) -> None:
+    def _count(self, count: int, thread: bool) -> None:
         if count < 0:
             raise ValueError(f"instruction count must be non-negative: {count}")
-        self.hierarchy.fetch_instructions(count)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_instructions(count, thread)
+        if self.hierarchy is not None:
+            self.hierarchy.fetch_instructions(count)
 
     @property
     def app_instructions(self) -> int:

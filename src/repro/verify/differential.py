@@ -7,7 +7,9 @@ earn trust in replay determinism):
 * **Trace-replay determinism** — record a threaded matmul's reference
   stream to a din-format trace, then replay the *same recorded trace*
   twice through fresh hierarchies: the two runs (and a re-recording of
-  the trace itself) must be byte-identical.
+  the trace itself) must be byte-identical.  The untiled interchanged
+  matmul, recorded as whole loop-nest grids, must export every data
+  reference the simulator counted.
 * **Set-assoc ≡ fully-assoc equivalence** — a
   :class:`~repro.cache.classify.ClassifyingCache` configured with
   ``associativity == num_lines`` (one set) is, by definition, a
@@ -33,12 +35,14 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.apps.matmul.config import MatmulConfig
+from repro.apps.matmul.programs import interchanged as matmul_interchanged
 from repro.apps.matmul.programs import threaded as matmul_threaded
 from repro.cache.classify import ClassifyingCache
 from repro.cache.config import CacheConfig
 from repro.core.package import ThreadPackage
 from repro.machine.presets import DEFAULT_SCALE, r8000
 from repro.sim.engine import Simulator
+from repro.sim.result import SimResult
 from repro.trace.dinero import DinWriter, read_din, simulate_din
 from repro.verify.scheduler_oracle import SchedulerOracle
 
@@ -62,36 +66,45 @@ class CheckOutcome:
 # ----------------------------------------------------------------------
 # 1. Trace-replay determinism
 # ----------------------------------------------------------------------
-def _record_matmul_trace(n: int, verify: bool) -> tuple[str, str]:
-    """Run the threaded matmul once, teeing its reference stream into a
-    din trace; return ``(trace_text, rendered_result)``."""
+def _record_din(program, verify: bool) -> tuple[str, SimResult]:
+    """Run ``program`` once with a :class:`DinWriter` observing its
+    recorder; return ``(trace_text, result)``."""
     simulator = Simulator(r8000(DEFAULT_SCALE), verify=verify)
     buffer = io.StringIO()
-    writer = DinWriter(buffer)
-    inner = matmul_threaded(MatmulConfig(n=n))
 
     def recording_program(ctx):
-        ctx.recorder = writer.wrap(ctx.recorder)
-        return inner(ctx)
+        ctx.recorder.observers.append(DinWriter(buffer))
+        return program(ctx)
 
-    recording_program.__name__ = inner.__name__
+    recording_program.__name__ = program.__name__
     result = simulator.run(recording_program)
-    rendered = repr(sorted(result.cache_table_column().items()))
-    return buffer.getvalue(), rendered
+    return buffer.getvalue(), result
 
 
 def check_trace_determinism(quick: bool = True, verify: bool = True) -> CheckOutcome:
-    """Record a trace, replay it twice, re-record it: all byte-identical."""
+    """Record a trace, replay it twice, re-record it: all byte-identical;
+    and a grid-recorded program exports all its references."""
     n = 16 if quick else 48
-    trace_a, rendered_a = _record_matmul_trace(n, verify)
-    trace_b, rendered_b = _record_matmul_trace(n, verify)
-    if trace_a != trace_b or rendered_a != rendered_b:
+    (trace_a, result_a), (trace_b, result_b) = (
+        _record_din(matmul_threaded(MatmulConfig(n=n)), verify) for _ in range(2)
+    )
+    same_stats = result_a.cache_table_column() == result_b.cache_table_column()
+    if trace_a != trace_b or not same_stats:
         return CheckOutcome(
             "trace-replay determinism",
             False,
             "re-recording the same program produced a different trace"
             if trace_a != trace_b
             else "same trace, different cache statistics",
+        )
+    grid_trace, grid = _record_din(matmul_interchanged(MatmulConfig(n=16)), verify)
+    exported = grid_trace.count("\n")
+    if exported != grid.stats.data_refs:
+        return CheckOutcome(
+            "trace-replay determinism",
+            False,
+            f"interchanged matmul exported {exported:,} of its "
+            f"{grid.stats.data_refs:,} data references",
         )
     l1 = CacheConfig("L1", 1024, 32, 1)
     l2 = CacheConfig("L2", 16 * 1024, 128, 4)
@@ -118,7 +131,7 @@ def check_trace_determinism(quick: bool = True, verify: bool = True) -> CheckOut
         "trace-replay determinism",
         True,
         f"{references:,} recorded references, two recordings and two "
-        "replays byte-identical",
+        f"replays byte-identical; grid export complete ({exported:,})",
     )
 
 

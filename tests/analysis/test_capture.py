@@ -5,8 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.capture import run_capture
+from repro.apps import LINT_PROGRAMS
+from repro.core.package import PACKAGE_REGION_PREFIX
 from repro.machine.presets import DEFAULT_SCALE, r8000
 from repro.mem.arrays import RefSegment
+from repro.sim.engine import Simulator
+from repro.trace.blocks import SegmentSweep
 
 MACHINE = r8000(DEFAULT_SCALE)
 
@@ -170,3 +174,75 @@ def test_program_exceptions_propagate():
 
     with pytest.raises(RuntimeError, match="boom"):
         run_capture(program, MACHINE)
+
+
+def _program_arrays(space):
+    return [
+        (region.name, region.base, region.size)
+        for region in space.allocations
+        if not region.name.startswith(PACKAGE_REGION_PREFIX)
+    ]
+
+
+@pytest.mark.parametrize(
+    "app, version",
+    [
+        (app, version)
+        for app, versions in LINT_PROGRAMS.items()
+        for version in versions
+    ],
+)
+def test_arrays_land_where_the_simulator_puts_them(app, version):
+    """Capture packages allocate their own regions exactly as simulated
+    packages do, so every program array has its simulated address."""
+    make = LINT_PROGRAMS[app][version]
+    spaces = []
+
+    def simulated(ctx):
+        spaces.append(ctx.space)
+        return make()(ctx)
+
+    Simulator(MACHINE, verify=False).run(simulated)
+    capture = run_capture(make(), MACHINE)
+    assert _program_arrays(capture.space) == _program_arrays(spaces[0])
+
+
+def test_package_traffic_is_not_footprint():
+    """Fork-time package traffic is simulated, never captured."""
+
+    def program(ctx):
+        package = ctx.make_thread_package()
+        package.th_fork(lambda a, b: None, 0, None, 8)
+        package.th_run(0)
+
+    capture = run_capture(program, MACHINE)
+    assert "th_hash_table" in capture.space
+    (record,) = capture.packages[0].all_records
+    assert record.footprint == []
+
+
+def test_grid_footprints_follow_each_outer_iteration():
+    """A grid is captured as its iterations would be one by one, with
+    each iteration's trailing store operand written."""
+
+    def proc(recorder, _unused):
+        a = SegmentSweep(RefSegment(0x10000, 8, 4, 8), step=64)
+        c = SegmentSweep(RefSegment(0x20000, 8, 4, 8))
+        recorder.record_grid([[a, c, c]], outer=3, writes=12)
+
+    def program(ctx):
+        package = ctx.make_thread_package()
+        package.th_fork(proc, ctx.recorder, None, 8)
+        package.th_run(0)
+
+    capture = run_capture(program, MACHINE)
+    (record,) = capture.packages[0].all_records
+    assert [(s.base, s.written) for s in record.footprint] == [
+        (base, written)
+        for iteration in range(3)
+        for base, written in (
+            (0x10000 + 64 * iteration, False),
+            (0x20000, False),
+            (0x20000, True),
+        )
+    ]

@@ -1,9 +1,26 @@
-"""Integration tests: every experiment runs in quick mode and preserves
-the paper's qualitative shapes."""
+"""Integration tests: every experiment runs in quick mode, preserves
+the paper's qualitative shapes, and reproduces its pinned numbers."""
+
+import hashlib
+import json
+import numbers
+from pathlib import Path
 
 import pytest
 
 from repro.exp.registry import EXPERIMENTS, run_experiment
+
+GOLDEN_QUICK = Path(__file__).with_name("golden_quick.json")
+
+#: Fields left out of the golden digests: wall-clock measurements, and
+#: payloads that pass through numpy/scipy builds rather than integers.
+UNPINNED = {
+    "table1": ("fork_us", "run_us"),
+    "extension_deps": ("errors",),
+}
+
+#: Significant digits floats keep in a digest.
+DIGEST_DIGITS = 10
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +46,48 @@ class TestAllExperiments:
         rendered = result.render()
         assert result.title in rendered
         assert "PASS" in rendered
+
+
+def _canonical(value):
+    """``value`` with dict keys as strings and floats rounded."""
+    if isinstance(value, dict):
+        return {str(key): _canonical(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(f"{value:.{DIGEST_DIGITS}g}")
+    return value
+
+
+def golden_digest(experiment_id: str, raw: dict) -> str:
+    """sha256 of an experiment's quick ``raw`` result, canonicalised."""
+    pinned = {
+        key: value
+        for key, value in raw.items()
+        if key not in UNPINNED.get(experiment_id, ())
+    }
+    text = json.dumps(_canonical(pinned), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+def test_quick_numbers_match_golden_digests(quick_results, experiment_id):
+    """Every simulated number of every experiment, pinned.
+
+    Counts and modeled times are digested (floats to
+    ``DIGEST_DIGITS`` significant digits); table1's measured
+    ``fork_us``/``run_us`` and extension_deps' numpy-computed ``errors``
+    are left out (see ``UNPINNED``).  A change that moves a number
+    re-pins ``golden_quick.json`` and says why in CHANGES.md.
+    """
+    expected = json.loads(GOLDEN_QUICK.read_text())
+    actual = golden_digest(experiment_id, quick_results[experiment_id].raw)
+    assert actual == expected[experiment_id], (
+        f"{experiment_id}: quick numbers changed (digest {actual}); "
+        f"raw = {quick_results[experiment_id].raw!r}"
+    )
 
 
 class TestTableContents:

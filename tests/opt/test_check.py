@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.opt import differential_check, optimize_program
+from repro.sim.engine import Simulator
 
 from tests.opt.conftest import load_corpus
 
@@ -36,6 +37,14 @@ def _dropped_fork(ctx):
 
 
 class TestDifferentialCheck:
+    def test_rl004_plan_applies_under_the_simulator(self, machine):
+        """The plan's expected hints come from capture; its arrays sit
+        where the simulator puts them, so the plan is not stale there."""
+        module = load_corpus("rl004_skewed_bins")
+        result = optimize_program(module.PROGRAM, machine, name="rl004")
+        assert result.changed
+        assert Simulator(machine).run(result.program).forks == 64
+
     def test_identical_programs_pass_both_gates(self, machine):
         outcomes = differential_check(_program, _program, machine, name="id")
         assert _passed(outcomes) == {

@@ -1,15 +1,18 @@
-"""Tests for the SMP simulator, package, and recorder."""
+"""Tests for the SMP simulator, package, recorder routing and ledger."""
 
 import numpy as np
 import pytest
 
 from repro.apps.matmul import MatmulConfig, threaded
 from repro.machine.presets import r8000
+from repro.mem.allocator import AddressSpace
 from repro.mem.arrays import RefSegment
+from repro.resilience.errors import ConfigError
 from repro.sim.engine import Simulator
-from repro.smp.engine import SmpSimulator
+from repro.smp.engine import SmpContext, SmpSimulator
+from repro.smp.ledger import CpuLedger
 from repro.smp.machine import SmpMachine
-from repro.smp.recorder import SwitchableRecorder
+from repro.trace.blocks import SegmentSweep
 from repro.trace.recorder import TraceRecorder
 
 CFG = MatmulConfig(n=48)
@@ -43,84 +46,142 @@ class TestMachine:
 
 
 class TestSwitchableRecorder:
+    """The SMP run's one recorder, switched between processors by
+    ``SmpContext.switch_to``, and the per-CPU ledger observing it."""
+
     def make(self, cpus=2):
         machine = r8000(256)
-        recorders = [
-            TraceRecorder(machine.build_hierarchy()) for _ in range(cpus)
-        ]
-        return SwitchableRecorder(recorders, machine.l2.line_bits), recorders
+        hierarchies = [machine.build_hierarchy() for _ in range(cpus)]
+        recorder = TraceRecorder(hierarchies[0])
+        ledger = CpuLedger(cpus, machine.l2.line_bits)
+        recorder.observers.append(ledger)
+        context = SmpContext(
+            machine=machine,
+            hierarchy=hierarchies[0],
+            recorder=recorder,
+            space=AddressSpace(),
+            hierarchies=hierarchies,
+            ledger=ledger,
+        )
+        return context, ledger
 
     def test_routing_follows_current(self):
-        proxy, recorders = self.make()
-        proxy.record(RefSegment(0x10000, 8, 4, 8))
-        proxy.switch_to(1)
-        proxy.record(RefSegment(0x10000, 8, 4, 8))
-        assert recorders[0].hierarchy.snapshot().data_refs == 4
-        assert recorders[1].hierarchy.snapshot().data_refs == 4
+        context, _ = self.make()
+        context.recorder.record(RefSegment(0x10000, 8, 4, 8))
+        context.switch_to(1)
+        context.recorder.record(RefSegment(0x10000, 8, 4, 8))
+        assert context.hierarchies[0].snapshot().data_refs == 4
+        assert context.hierarchies[1].snapshot().data_refs == 4
+        assert context.hierarchy is context.hierarchies[1]
 
     def test_instruction_totals_aggregate(self):
-        proxy, _ = self.make()
-        proxy.count_instructions(10)
-        proxy.switch_to(1)
-        proxy.count_instructions(20)
-        proxy.count_thread_instructions(5)
-        assert proxy.app_instructions == 30
-        assert proxy.thread_instructions == 5
+        context, ledger = self.make()
+        recorder = context.recorder
+        recorder.count_instructions(10)
+        context.switch_to(1)
+        recorder.count_instructions(20)
+        recorder.count_thread_instructions(5)
+        assert recorder.app_instructions == 30
+        assert recorder.thread_instructions == 5
+        assert ledger.app_instructions == [10, 20]
+        fetches = [h.snapshot().inst_fetches for h in context.hierarchies]
+        assert fetches == [10, 25]
 
     def test_invalid_cpu_rejected(self):
-        proxy, _ = self.make()
+        context, _ = self.make()
         with pytest.raises(IndexError):
-            proxy.switch_to(5)
+            context.switch_to(5)
 
     def test_write_sharing_detected(self):
-        proxy, _ = self.make()
+        context, ledger = self.make()
         segment = RefSegment(0x10000, 8, 16, 8)  # one L2 line
-        proxy.record(segment, writes=16)
-        assert proxy.write_shared_lines == 0
-        proxy.switch_to(1)
-        proxy.record(segment, writes=16)
-        assert proxy.write_shared_lines == 1
+        context.recorder.record(segment, writes=16)
+        assert len(ledger.write_sharer_map) == 0
+        context.switch_to(1)
+        context.recorder.record(segment, writes=16)
+        assert len(ledger.write_sharer_map) == 1
 
     def test_reads_do_not_count_as_sharing(self):
-        proxy, _ = self.make()
+        context, ledger = self.make()
         segment = RefSegment(0x10000, 8, 16, 8)
-        proxy.record(segment)
-        proxy.switch_to(1)
-        proxy.record(segment)
-        assert proxy.written_lines == 0
+        context.recorder.record(segment)
+        context.switch_to(1)
+        context.recorder.record(segment)
+        assert ledger.written_lines == 0
 
     def test_interleaved_marks_only_trailing_store_segments(self):
         """The trace API's convention (shared with the capture layer):
         the stores of a load/.../store loop body come last."""
-        proxy, _ = self.make()
+        context, ledger = self.make()
         load_a = RefSegment(0x10000, 8, 16, 8)
         load_b = RefSegment(0x40000, 8, 16, 8)
         store = RefSegment(0x80000, 8, 16, 8)
-        proxy.record_interleaved([load_a, load_b, store], writes=16)
-        proxy.switch_to(1)
-        proxy.record_interleaved([load_a, load_b, store], writes=16)
+        context.recorder.record_interleaved([load_a, load_b, store], writes=16)
+        context.switch_to(1)
+        context.recorder.record_interleaved([load_a, load_b, store], writes=16)
         # Only the store segment's line is shared; the loads never
         # entered the ledger.
-        assert proxy.written_lines == 1
-        assert proxy.write_shared_lines == 1
-        assert set(proxy.write_sharer_map) == {0x80000 >> proxy._l2_line_bits}
+        assert ledger.written_lines == 1
+        assert len(ledger.write_sharer_map) == 1
+        l2_bits = context.machine.l2.line_bits
+        assert set(ledger.write_sharer_map) == {0x80000 >> l2_bits}
 
     def test_record_lines_marks_only_trailing_writes(self):
-        proxy, _ = self.make()
-        l1_bits = proxy.target.hierarchy.l1d.config.line_bits
-        shift = proxy._l2_line_bits - l1_bits
+        context, ledger = self.make()
+        l1_bits = context.machine.l1d.line_bits
         lines = [0x10000 >> l1_bits, 0x40000 >> l1_bits, 0x80000 >> l1_bits]
-        proxy.record_lines(lines, [4, 4, 3], writes=3)
-        assert set(
-            line << shift for line in proxy.write_sharer_map
-        ) == set() and proxy.written_lines == 1
-        proxy.switch_to(1)
-        proxy.record_lines(lines, [4, 4, 3], writes=3)
-        assert proxy.write_shared_lines == 1
+        context.recorder.record_lines(lines, [4, 4, 3], writes=3)
+        assert ledger.write_sharer_map == {} and ledger.written_lines == 1
+        context.switch_to(1)
+        context.recorder.record_lines(lines, [4, 4, 3], writes=3)
+        assert len(ledger.write_sharer_map) == 1
 
     def test_empty_recorder_list_rejected(self):
+        """An SMP run needs at least one processor to book to."""
         with pytest.raises(ValueError):
-            SwitchableRecorder([], 7)
+            CpuLedger(0, 7)
+
+    def test_grid_marks_trailing_store_sweeps_per_iteration(self):
+        """Interchanged matmul's grid: per outer iteration the second C
+        column is the store, so only C's lines enter the ledger."""
+        context, ledger = self.make()
+        b = SegmentSweep(RefSegment(0x10000, 8, 1, 8), step=8)
+        a = SegmentSweep(RefSegment(0x40000, 8, 16, 8), step=128)
+        c = SegmentSweep(RefSegment(0x80000, 8, 16, 8))
+        for cpu in (0, 1):
+            context.switch_to(cpu)
+            context.recorder.record_grid([[b], [a, c, c]], outer=4, writes=64)
+        l2_bits = context.machine.l2.line_bits
+        assert ledger.written_lines == 1
+        assert set(ledger.write_sharer_map) == {0x80000 >> l2_bits}
+
+
+class TestSmpPackageKinds:
+    """Packages an SMP run cannot schedule are rejected by kind."""
+
+    def run_with(self, factory_name):
+        def program(ctx):
+            getattr(ctx, factory_name)()
+
+        machine = SmpMachine(r8000(256), 2)
+        return SmpSimulator(machine).run(program)
+
+    def test_dependent_package_rejected(self):
+        with pytest.raises(ConfigError, match="dependent"):
+            self.run_with("make_dependent_thread_package")
+
+    def test_guarded_package_rejected(self):
+        with pytest.raises(ConfigError, match="guarded"):
+            self.run_with("make_guarded_thread_package")
+
+    def test_sor_threaded_exact_rejected_by_name(self):
+        from repro.apps.sor import SorConfig, threaded_exact
+
+        machine = SmpMachine(r8000(256), 2)
+        with pytest.raises(ConfigError, match="dependent thread package"):
+            SmpSimulator(machine).run(
+                threaded_exact(SorConfig(n=31, iterations=2))
+            )
 
 
 class TestSmpEquivalence:

@@ -19,6 +19,7 @@ from repro.trace.dinero import (
     simulate_din,
     write_din,
 )
+from repro.trace.blocks import SegmentSweep
 from repro.trace.recorder import TraceRecorder
 
 
@@ -114,18 +115,19 @@ class TestSimulateDin:
 
 
 class TestDinWriter:
-    def make_recorder(self):
+    def make_recorder(self, writer=None):
         l1, l2 = small_configs()
-        return TraceRecorder(CacheHierarchy(l1, l1, l2))
+        recorder = TraceRecorder(CacheHierarchy(l1, l1, l2))
+        if writer is not None:
+            recorder.observers.append(writer)
+        return recorder
 
     def test_tee_preserves_simulation(self):
-        buffer = io.StringIO()
         plain = self.make_recorder()
-        teed_recorder = self.make_recorder()
-        tee = DinWriter(buffer).wrap(teed_recorder)
+        teed_recorder = self.make_recorder(DinWriter(io.StringIO()))
         segment = RefSegment(0x1000, 8, 64, 8)
         plain.record(segment, writes=16)
-        tee.record(segment, writes=16)
+        teed_recorder.record(segment, writes=16)
         assert (
             plain.hierarchy.snapshot().l1.misses
             == teed_recorder.hierarchy.snapshot().l1.misses
@@ -136,41 +138,67 @@ class TestDinWriter:
         get identical L1/L2 data misses."""
         l1, l2 = small_configs()
         buffer = io.StringIO()
-        recorder = TraceRecorder(CacheHierarchy(l1, l1, l2))
-        tee = DinWriter(buffer).wrap(recorder)
+        recorder = self.make_recorder(DinWriter(buffer))
         for j in range(8):
-            tee.record(RefSegment(0x1000 + j * 512, 8, 64, 8), writes=8)
-        tee.record_interleaved(
+            recorder.record(RefSegment(0x1000 + j * 512, 8, 64, 8), writes=8)
+        recorder.record_interleaved(
             [RefSegment(0x1000, 8, 32, 8), RefSegment(0x3000, 8, 32, 8)]
         )
-        tee.record_lines([5, 6, 5], counts=[2, 1, 3])
+        recorder.record_grid(
+            [
+                [SegmentSweep(RefSegment(0x5000, 8, 1, 8), step=8)],
+                [
+                    SegmentSweep(RefSegment(0x6000, 8, 16, 8), step=128),
+                    SegmentSweep(RefSegment(0x7000, 8, 16, 8)),
+                ],
+            ],
+            outer=6,
+            writes=6 * 16,
+        )
+        recorder.record_lines([5, 6, 5], counts=[2, 1, 3])
         original = recorder.hierarchy.snapshot()
 
         buffer.seek(0)
         replayed = simulate_din(read_din(buffer), l1, l2)
         assert replayed.data_refs == original.data_refs
+        assert replayed.data_writes == original.data_writes
         assert replayed.l1.misses == original.l1.misses
         assert replayed.l2.misses == original.l2.misses
 
+    def test_grid_walks_the_addresses_grid_to_lines_does(self):
+        buffer = io.StringIO()
+        recorder = self.make_recorder(DinWriter(buffer))
+        groups = [
+            [
+                SegmentSweep(RefSegment(0x1000, 8, 3, 8), step=64),
+                SegmentSweep(RefSegment(0x2000, 8, 3, 8)),
+            ]
+        ]
+        recorder.record_grid(groups, outer=2, writes=3)
+        addresses = [
+            int(line.split()[1], 16) for line in buffer.getvalue().splitlines()
+        ]
+        assert addresses == [
+            0x1000, 0x2000, 0x1008, 0x2008, 0x1010, 0x2010,
+            0x1040, 0x2000, 0x1048, 0x2008, 0x1050, 0x2010,
+        ]
+        labels = [line[0] for line in buffer.getvalue().splitlines()]
+        assert labels == ["0"] * 9 + ["1"] * 3
+
     def test_write_labels_counted(self):
         buffer = io.StringIO()
-        tee = DinWriter(buffer).wrap(self.make_recorder())
-        tee.record(RefSegment(0x1000, 8, 4, 8), writes=4)
+        recorder = self.make_recorder(DinWriter(buffer))
+        recorder.record(RefSegment(0x1000, 8, 4, 8), writes=4)
         labels = [line.split()[0] for line in buffer.getvalue().splitlines()]
         assert labels == ["1", "1", "1", "1"]
 
     def test_instruction_export_optional(self):
         buffer = io.StringIO()
-        writer = DinWriter(buffer, include_instructions=True)
-        tee = writer.wrap(self.make_recorder())
-        tee.count_instructions(100)
+        recorder = self.make_recorder(
+            DinWriter(buffer, include_instructions=True)
+        )
+        recorder.count_instructions(100)
         assert buffer.getvalue().startswith("2 ")
-
-    def test_forwarding_of_recorder_attributes(self):
-        tee = DinWriter(io.StringIO()).wrap(self.make_recorder())
-        tee.count_instructions(10)
-        assert tee.app_instructions == 10
-        assert tee.line_of(32) == 1
 
 
 class TestCli:
