@@ -83,8 +83,15 @@ class ClassifyingCache:
         self._seen: set[int] = set()
         #: Misses of the fully-associative shadow (including shadow
         #: misses on real-cache hits, which the classification ignores).
-        #: Feeds the cache oracle's LRU stack-inclusion check.
+        #: Feeds the cache oracle's LRU stack-inclusion check, and stays
+        #: exact in both loops.
         self.shadow_misses = 0
+        #: Where the shadow missed in the last :meth:`process` batch:
+        #: the batch positions, in order, of the entries it missed on.
+        #: Only the direct-mapped loop records them (the trace store's
+        #: shadow annotation is the direct-mapped replay's input);
+        #: ``None`` for a set-associative cache.
+        self.shadow_miss_positions: list[int] | None = None
 
     def process(self, lines: list[int], counts: list[int] | None = None) -> list[int]:
         """Process a batch of line references; return the lines that missed.
@@ -112,6 +119,11 @@ class ClassifyingCache:
           take a dedicated loop in which a real-cache hit does no set
           mutation at all: with at most one resident line per set, the
           LRU recency refresh is the identity.
+
+        The direct-mapped loop also leaves the batch positions of its
+        shadow misses in :attr:`shadow_miss_positions`, one list append
+        per shadow miss, which a trace tap stores as the shadow
+        annotation (:class:`repro.trace.store.TraceCapture`).
         """
         stats = self.stats
         seen = self._seen
@@ -135,7 +147,9 @@ class ClassifyingCache:
         previous = None
         if associativity == 1:
             # Direct-mapped loop: a hit needs no recency bookkeeping.
-            for line in lines:
+            self.shadow_miss_positions = shadow_miss_positions = []
+            shadow_missed = shadow_miss_positions.append
+            for index, line in enumerate(lines):
                 if line == previous:
                     continue  # guaranteed hit, already MRU everywhere
                 previous = line
@@ -146,7 +160,7 @@ class ClassifyingCache:
                     shadow_lines[line] = None
                 else:
                     shadow_hit = False
-                    n_shadow_misses += 1
+                    shadow_missed(index)
                     if len(shadow_lines) >= shadow_capacity:
                         del shadow_lines[next(iter(shadow_lines))]
                     shadow_lines[line] = None
@@ -166,6 +180,7 @@ class ClassifyingCache:
                     n_capacity += 1
                 else:
                     n_conflict += 1
+            n_shadow_misses = len(shadow_miss_positions)
         else:
             for line in lines:
                 if line == previous:

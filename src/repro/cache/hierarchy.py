@@ -172,9 +172,14 @@ class CacheHierarchy:
     @property
     def tap(self):
         """Optional trace tap (:class:`repro.trace.store.TraceCapture`)
-        with an ``on_access(lines, counts, writes)`` method, fed every
-        data batch verbatim — the capture point for the content-addressed
-        trace store.  Same sidecar contract: ``None`` means off."""
+        with an ``on_access(lines, counts, writes, shadow_misses)``
+        method — the capture point for the content-addressed trace
+        store.  It runs after the L1D kernel, and is fed every data
+        batch verbatim plus the kernel's verdicts on it: the batch
+        positions where the fully-associative shadow missed
+        (:attr:`ClassifyingCache.shadow_miss_positions`; ``None`` for a
+        set-associative L1D, whose kernel keeps none).  Same sidecar
+        contract: ``None`` means off."""
         return self._tap
 
     @tap.setter
@@ -237,16 +242,18 @@ class CacheHierarchy:
         """:meth:`access_data` plus the sidecar hooks.
 
         Installed as the instance's ``access_data`` while any sidecar is
-        attached (see :meth:`_rebind_access_data`): the tap sees the
-        batch first, then the plain kernel simulates it, then the
-        oracle, observer and profiler look at the result.  The cache work
-        is the plain kernel's own, so attaching a sidecar changes
-        *observation*, never *simulation*.
+        attached (see :meth:`_rebind_access_data`): the plain kernel
+        simulates the batch, then the tap records it with the L1D's
+        shadow verdicts, and the oracle, observer and profiler look at
+        the result.  The cache work is the plain kernel's own, so
+        attaching a sidecar changes *observation*, never *simulation*.
         """
-        if self._tap is not None:
-            self._tap.on_access(lines, counts, writes)
         accesses = self.l1d.stats.accesses
         l1_misses, l2_misses = self._access_data_plain(lines, counts, writes)
+        if self._tap is not None:
+            self._tap.on_access(
+                lines, counts, writes, self.l1d.shadow_miss_positions
+            )
         if self._oracle is not None:
             self._oracle.after_batch(self)
         if self._observer is not None:

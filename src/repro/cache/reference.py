@@ -13,11 +13,17 @@ class-for-class, LRU-order-for-LRU-order agreement, and the kernel
 benchmark (``benchmarks/test_sim_bench.py``) times the optimized path
 against this one to quantify — and guard — the speedup.
 
+It also holds the spec of the trace store's shadow annotation,
+:func:`shadow_hit_bits`, which the store's annotation of the live
+kernel's verdicts must equal.
+
 Nothing in the simulator imports this module; it exists only for tests
 and benchmarks and favors obviousness over speed.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.cache.classify import LevelStats
 from repro.cache.config import CacheConfig
@@ -111,3 +117,21 @@ class ReferenceClassifyingCache:
 
     def shadow_lru_order(self) -> list[int]:
         return list(self._shadow)
+
+
+def shadow_hit_bits(dlines: np.ndarray, capacity: int) -> np.ndarray:
+    """Fully-associative-LRU hit (1) or miss (0) per entry of a
+    deduplicated stream (:func:`repro.trace.store.dedup_mask`), from an
+    empty shadow of ``capacity`` lines: the spec of a stored trace's
+    shadow annotation, which the store builds from the live kernel's
+    verdicts instead (:func:`repro.trace.store.shadow_annotation`)."""
+    hits = np.zeros(len(dlines), dtype=np.uint8)
+    shadow: list[int] = []
+    for index, line in enumerate(dlines.tolist()):
+        if line in shadow:
+            shadow.remove(line)
+            hits[index] = 1
+        elif len(shadow) >= capacity:
+            del shadow[0]
+        shadow.append(line)
+    return hits

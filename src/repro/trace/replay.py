@@ -36,9 +36,11 @@ the level that sees every reference:
 * a miss is compulsory exactly when its line is new to the L1D's
   compulsory history (``l1d._seen``), as in the dict kernel;
 * the capacity/conflict split needs the fully-associative shadow, whose
-  LRU state *is* inherently sequential — which is why the store
-  simulates it once at write time and ships the per-entry hit bits in
-  the container (:func:`repro.trace.store.shadow_hit_bits`).
+  LRU state *is* inherently sequential — which is why the container
+  ships the live kernel's per-entry shadow verdicts, recorded by the
+  capture tap as the stream was simulated
+  (:func:`repro.trace.store.shadow_annotation`).  A set-associative
+  L1D's object ships none, and replays through the dict step.
 
 After each chunk the numpy step applies the L1 statistics and
 read/write counts ``access_data`` would have applied, forwards the

@@ -7,7 +7,11 @@ This module makes the stream a first-class, cachable artifact:
 
 * :class:`TraceCapture` is a hierarchy *tap* sidecar that records every
   ``access_data`` batch verbatim (run-length compression preserved)
-  while a live simulation runs;
+  while a live simulation runs, together with the live L1D kernel's
+  shadow verdicts on it;
+* :meth:`TraceStore.put` turns those verdicts into the stored shadow
+  annotation with one numpy scatter — the fully-associative shadow is
+  simulated once, by the live kernel, never again at store time;
 * :func:`write_trace` serializes the captured stream plus everything
   else a :class:`~repro.sim.result.SimResult` needs (instruction
   totals, fork/dispatch counts, the final scheduling distribution) into
@@ -63,9 +67,11 @@ MAX_TRACE_BYTES = 256 << 20
 #: Array layout inside the container, in file order.  ``shadow_hits``
 #: is the stored fully-associative-LRU hit annotation (one byte per
 #: *deduplicated* stream entry, see :func:`dedup_mask`): the shadow
-#: evolves on every access, which is inherently sequential, so it is
-#: simulated once at store time and replayed as data — the vectorized
-#: replay kernel then needs no sequential state at all.
+#: evolves on every access, which is inherently sequential, so the
+#: live kernel's verdicts are kept and replayed as data — the
+#: vectorized replay kernel then needs no sequential state at all.  A
+#: set-associative L1D's object carries an empty annotation: it replays
+#: through the dict step, which runs its own shadow.
 _ARRAY_DTYPES = {
     "lines": "<i8",
     "counts": "<u4",
@@ -90,25 +96,24 @@ def dedup_mask(lines: np.ndarray) -> np.ndarray:
     return keep
 
 
-def shadow_hit_bits(dlines: np.ndarray, capacity: int) -> np.ndarray:
-    """Fully-associative-LRU hit/miss per deduplicated entry.
+def shadow_annotation(lines: np.ndarray, shadow_misses: np.ndarray) -> np.ndarray:
+    """The stored shadow annotation of stream ``lines``: one byte per
+    entry :func:`dedup_mask` keeps, 0 where the live kernel's shadow
+    missed and 1 where it hit, from the stream positions of its misses
+    (:meth:`TraceCapture.shadow_misses`) by one scatter.
 
-    The exact shadow the classifying kernel runs (insertion-ordered dict,
-    evict-oldest), simulated once over the whole stream.  Stored traces
-    carry the result so replay never touches sequential LRU state.
+    The kernel restarts its run-length fast path at every batch, so a
+    batch that opens on the previous batch's last line is simulated,
+    not skipped — but that line is the shadow's most recent, so it
+    hits, and every miss position is an entry the mask keeps.  The spec
+    is :func:`repro.cache.reference.shadow_hit_bits`.
     """
-    hits = np.zeros(len(dlines), dtype=np.uint8)
-    shadow: dict[int, None] = {}
-    for index, line in enumerate(dlines.tolist()):
-        if line in shadow:
-            del shadow[line]
-            shadow[line] = None
-            hits[index] = 1
-        else:
-            if len(shadow) >= capacity:
-                del shadow[next(iter(shadow))]
-            shadow[line] = None
-    return hits
+    keep = dedup_mask(lines)
+    assert keep[shadow_misses].all(), "shadow miss on a repeated line"
+    hits = np.ones(len(lines), dtype=np.uint8)
+    hits[shadow_misses] = 0
+    return hits[keep]
+
 
 #: Modules whose source participates in every code hash: the trace
 #: recorder/conversion core, the thread package and scheduler (they
@@ -220,28 +225,41 @@ def trace_key_for(program, config, machine, code_footprint: int) -> TraceKey:
 
 
 class TraceCapture:
-    """Hierarchy tap that records every data batch verbatim.
+    """Hierarchy tap that records every data batch verbatim, with the
+    L1D kernel's shadow verdicts on it.
 
     Attach as ``hierarchy.tap`` (see
     :attr:`repro.cache.hierarchy.CacheHierarchy.tap`); each
     ``access_data`` call appends one batch — lines, counts and write
     totals exactly as fed — so replaying the capture reproduces the
-    cache simulation bit for bit, batch boundaries included.
+    cache simulation bit for bit, batch boundaries included.  The tap
+    runs after the kernel, and keeps the positions where a
+    direct-mapped L1D's shadow missed as int64 arrays at stream
+    offsets, one per batch: they become the stored shadow annotation
+    (:func:`shadow_annotation`).  A set-associative kernel passes no
+    verdicts, and its object stores no annotation.
     """
 
     def __init__(self) -> None:
         self._lines: list[np.ndarray] = []
         self._counts: list[np.ndarray] = []
+        self._shadow_misses: list[np.ndarray] = []
         self._ends: list[int] = []
         self._writes: list[int] = []
         self._length = 0
 
-    def on_access(self, lines, counts, writes: int) -> None:
+    def on_access(self, lines, counts, writes: int, shadow_misses) -> None:
+        """Record one simulated batch; ``shadow_misses`` are the batch
+        positions where the L1D's shadow missed, or ``None``."""
         arr = np.asarray(lines, dtype=np.int64)
         if counts is None:
             cnt = np.ones(len(arr), dtype=np.uint32)
         else:
             cnt = np.asarray(counts, dtype=np.uint32)
+        if shadow_misses:
+            positions = np.array(shadow_misses, dtype=np.int64)
+            positions += self._length
+            self._shadow_misses.append(positions)
         self._lines.append(arr)
         self._counts.append(cnt)
         self._length += len(arr)
@@ -257,6 +275,7 @@ class TraceCapture:
         return self._length
 
     def arrays(self) -> dict[str, np.ndarray]:
+        """The four stream arrays, concatenated over the batches."""
         return {
             "lines": (
                 np.concatenate(self._lines)
@@ -271,6 +290,12 @@ class TraceCapture:
             "batch_ends": np.asarray(self._ends, dtype=np.int64),
             "batch_writes": np.asarray(self._writes, dtype=np.int64),
         }
+
+    def shadow_misses(self) -> np.ndarray:
+        """Stream positions, in order, where the L1D's shadow missed."""
+        if not self._shadow_misses:
+            return np.empty(0, np.int64)
+        return np.concatenate(self._shadow_misses)
 
 
 def _align(offset: int, boundary: int = 16) -> int:
@@ -640,9 +665,15 @@ class TraceStore:
             return digest
         header = build_header(key, result, code_footprint, machine)
         arrays = capture.arrays()
-        deduped = arrays["lines"][dedup_mask(arrays["lines"])]
+        if machine.l1d.associativity == 1:
+            arrays["shadow_hits"] = shadow_annotation(
+                arrays["lines"], capture.shadow_misses()
+            )
+        else:
+            # The dict step replays a set-associative L1D and runs its
+            # own shadow; it never reads an annotation.
+            arrays["shadow_hits"] = np.empty(0, dtype=np.uint8)
         lengths = {name: len(array) for name, array in arrays.items()}
-        lengths["shadow_hits"] = len(deduped)
         _, size = container_layout(header, lengths, int(arrays["counts"].sum()))
         if size > MAX_TRACE_BYTES:
             log.warning(
@@ -650,9 +681,6 @@ class TraceStore:
                 "(%d bytes)", key.app, key.version, size,
             )
             return None
-        arrays["shadow_hits"] = shadow_hit_bits(
-            deduped, machine.l1d.num_lines
-        )
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             write_trace(path, header, arrays)

@@ -7,16 +7,19 @@ the second, and stand down whenever a consumer needs the live program
 """
 
 import io
+import json
 
 import pytest
 
 from repro.apps.sor import SorConfig, VERSIONS as SOR
+from repro.exp.registry import run_experiment
 from repro.exp.runners import run_versions
 from repro.machine.presets import r8000
 from repro.obs.profile import ProfileCollector, collector_scope
 from repro.resilience.campaign import CampaignConfig, run_campaign
 from repro.trace.store import TraceStore, trace_store_scope
 from repro.verify.config import verification
+from tests.exp.test_experiments import GOLDEN_QUICK, golden_digest
 
 VERSIONS = {
     "untiled": SOR["untiled"],
@@ -83,6 +86,23 @@ class TestRunVersions:
             run_twice(store)
         assert store.stores == 0
         assert store.hits == 0
+
+
+class TestReplayMatchesGolden:
+    def test_table3_live_and_replayed_give_the_pinned_numbers(
+        self, store, vectorized_replays
+    ):
+        # Live with the store filling, then every column replayed
+        # through the numpy step: both reproduce the committed quick
+        # numbers, so "replay unchanged" is a test result.
+        expected = json.loads(GOLDEN_QUICK.read_text())["table3"]
+        with verification(False), trace_store_scope(store):
+            live = run_experiment("table3", quick=True)
+            assert (store.stores, vectorized_replays) == (3, [])
+            replayed = run_experiment("table3", quick=True)
+        assert store.hits == len(vectorized_replays) == 3
+        assert golden_digest("table3", live.raw) == expected
+        assert golden_digest("table3", replayed.raw) == expected
 
 
 class TestCampaignIntegration:

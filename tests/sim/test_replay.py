@@ -13,6 +13,7 @@ import repro.trace.replay as replay_module
 from repro.apps.sor import SorConfig, VERSIONS as SOR
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.reference import ReferenceClassifyingCache, shadow_hit_bits
 from repro.exp import table2_matmul_perf, table3_matmul_cache
 from repro.exp.base import r8000_scaled
 from repro.machine.presets import r8000
@@ -32,7 +33,7 @@ from repro.trace.store import (
     TraceCapture,
     TraceStore,
     dedup_mask,
-    shadow_hit_bits,
+    shadow_annotation,
     trace_key_for,
 )
 from tests.conftest import sampler_series
@@ -200,7 +201,7 @@ SMALL_L2 = CacheConfig("L2", size=1024, line_size=64, associativity=2)
 
 
 def stored_stream(lines, counts, ends, writes) -> StoredTrace:
-    """An in-memory stored trace with the store's shadow annotation."""
+    """An in-memory stored trace with the spec's shadow annotation."""
     lines = np.asarray(lines, dtype=np.int64)
     return StoredTrace(
         path=Path("synthetic.rtr"),
@@ -256,6 +257,48 @@ def streams(draw):
         writes.append(draw(st.integers(0, sum(counts[start:end]))))
         start = end
     return lines, counts, ends, writes
+
+
+class TestLiveAnnotation:
+    """The tap keeps the live direct-mapped kernel's shadow verdicts,
+    and the annotation the store builds from them is the spec's.
+
+    Batches cut runs of equal lines, so a batch often opens on the
+    previous batch's last line (simulated by the kernel, skipped by the
+    deduplicated stream); the explicit example has two such batches and
+    an empty one between them.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=streams())
+    @example(stream=([3, 7, 7, 3, 3, 40], [1] * 6, [2, 2, 4, 6], [0] * 4))
+    def test_annotation_is_the_kernels_and_the_specs(self, stream):
+        lines, counts, ends, writes = stream
+        hierarchy = CacheHierarchy(SMALL_L1I, SMALL_L1D, SMALL_L2)
+        capture = TraceCapture()
+        hierarchy.tap = capture
+        reference = ReferenceClassifyingCache(SMALL_L1D)
+        reference_misses = []
+        start = 0
+        for end, batch_writes in zip(ends, writes):
+            hierarchy.access_data(
+                lines[start:end], counts[start:end], batch_writes
+            )
+            for position in range(start, end):
+                before = reference.shadow_misses
+                reference.access(lines[position])
+                if reference.shadow_misses > before:
+                    reference_misses.append(position)
+            start = end
+
+        stream_lines = capture.arrays()["lines"]
+        annotation = shadow_annotation(stream_lines, capture.shadow_misses())
+        spec = shadow_hit_bits(
+            stream_lines[dedup_mask(stream_lines)], SMALL_L1D.num_lines
+        )
+        assert annotation.tolist() == spec.tolist()
+        assert hierarchy.l1d.shadow_misses == len(spec) - int(spec.sum())
+        assert capture.shadow_misses().tolist() == reference_misses
 
 
 class TestNumpyStep:

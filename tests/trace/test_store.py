@@ -19,6 +19,7 @@ from repro.apps.matmul import MatmulConfig, VERSIONS as MATMUL
 from repro.apps.nbody import NbodyConfig, VERSIONS as NBODY
 from repro.apps.pde import PdeConfig, VERSIONS as PDE
 from repro.apps.sor import SorConfig, VERSIONS as SOR
+from repro.cache.reference import shadow_hit_bits
 from repro.machine.presets import r8000, r10000
 from repro.obs import Telemetry
 from repro.resilience.errors import CheckpointError
@@ -33,7 +34,6 @@ from repro.trace.store import (
     dedup_mask,
     load_trace,
     open_trace_store,
-    shadow_hit_bits,
     trace_key_for,
     trace_store_scope,
     verify_object,
@@ -239,22 +239,54 @@ def single_line_batches(ctx):
         ctx.recorder.record_lines([i % 97])
 
 
+def many_batches_on(machine):
+    """``(machine, capture, live result, key)`` for 60,000 one-line
+    batches on ``machine``.
+
+    The recorder coalesces a live run's records into a few large
+    batches, so the 60,000 one-line batches — where the batch arrays
+    outweigh the lines — are fed to a tapped hierarchy directly; the
+    kernel hands the tap its shadow verdicts as in a live run.
+    """
+    live = Simulator(machine, verify=False).run(single_line_batches)
+    hierarchy = machine.build_hierarchy()
+    capture = TraceCapture()
+    hierarchy.tap = capture
+    for i in range(60_000):
+        hierarchy.access_data([i % 97], None, 0)
+    key = TraceKey("synthetic", "single_line_batches", "config", "code")
+    return machine, capture, live, key
+
+
+def assert_stored_at_exactly_the_cap(tmp_path, monkeypatch, many_batches):
+    """Declined at the object's size - 1, stored at exactly its size;
+    returns the stored object."""
+    machine, capture, live, key = many_batches
+    reference = TraceStore(tmp_path / "reference")
+    assert reference.put(key, capture, live, machine, 4096) == key.digest
+    size = reference.object_path(key.digest).stat().st_size
+    monkeypatch.setattr(store_module, "MAX_TRACE_BYTES", size - 1)
+    assert TraceStore(tmp_path / "under").put(
+        key, capture, live, machine, 4096
+    ) is None
+    monkeypatch.setattr(store_module, "MAX_TRACE_BYTES", size)
+    at_cap = TraceStore(tmp_path / "at")
+    assert at_cap.put(key, capture, live, machine, 4096) == key.digest
+    assert at_cap.object_path(key.digest).stat().st_size == size
+    return at_cap.get(key)
+
+
 class TestSizeCap:
     """The cap bounds the object actually written — per-batch arrays,
     shadow annotation and header included, not just the line count."""
 
     @pytest.fixture(scope="class")
     def many_batches(self):
-        # The recorder coalesces a live run's records into a few large
-        # batches, so the 60,000 one-line batches — where the batch
-        # arrays outweigh the lines — are fed to the capture directly.
-        machine = r8000(64)
-        live = Simulator(machine, verify=False).run(single_line_batches)
-        capture = TraceCapture()
-        for i in range(60_000):
-            capture.on_access([i % 97], None, 0)
-        key = TraceKey("synthetic", "single_line_batches", "config", "code")
-        return machine, capture, live, key
+        return many_batches_on(r8000(64))
+
+    @pytest.fixture(scope="class")
+    def many_batches_set_associative(self):
+        return many_batches_on(r10000(64))
 
     def test_many_small_batches_respect_the_cap(
         self, tmp_path, monkeypatch, many_batches
@@ -266,25 +298,27 @@ class TestSizeCap:
         assert store.object_paths() == []
 
     def test_size_check_is_exact(self, tmp_path, monkeypatch, many_batches):
-        machine, capture, live, key = many_batches
-        reference = TraceStore(tmp_path / "reference")
-        assert reference.put(key, capture, live, machine, 4096) == key.digest
-        size = reference.object_path(key.digest).stat().st_size
-        monkeypatch.setattr(store_module, "MAX_TRACE_BYTES", size - 1)
-        assert TraceStore(tmp_path / "under").put(
-            key, capture, live, machine, 4096
-        ) is None
-        monkeypatch.setattr(store_module, "MAX_TRACE_BYTES", size)
-        at_cap = TraceStore(tmp_path / "at")
-        assert at_cap.put(key, capture, live, machine, 4096) == key.digest
-        assert at_cap.object_path(key.digest).stat().st_size == size
+        stored = assert_stored_at_exactly_the_cap(
+            tmp_path, monkeypatch, many_batches
+        )
+        assert len(stored.shadow_hits) == 60_000
+
+    def test_size_check_is_exact_without_annotation(
+        self, tmp_path, monkeypatch, many_batches_set_associative
+    ):
+        stored = assert_stored_at_exactly_the_cap(
+            tmp_path, monkeypatch, many_batches_set_associative
+        )
+        assert len(stored.lines) == 60_000
+        assert len(stored.shadow_hits) == 0
 
 
 class TestShadowAnnotation:
     def test_shadow_bits_match_kernel_shadow(self):
-        # The stored annotation must reproduce the classifying kernel's
-        # fully-associative LRU exactly; cross-check against a direct
-        # simulation of the same insertion-ordered-dict policy.
+        # The spec of the stored annotation (repro.cache.reference)
+        # must reproduce the classifying kernel's fully-associative LRU
+        # exactly; cross-check its list LRU against a direct simulation
+        # of the kernel's insertion-ordered-dict policy.
         rng = np.random.default_rng(7)
         stream = rng.integers(0, 12, size=400, dtype=np.int64)
         deduped = stream[dedup_mask(stream)]
