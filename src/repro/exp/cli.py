@@ -195,8 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="RUN",
         help=(
             "finish an earlier run, replaying its completed experiments "
-            "(salvages a damaged manifest from the journal; see "
-            "repro-doctor for offline audit/repair)"
+            "and re-running any whose stored record is missing or corrupt "
+            "(see repro-doctor for an offline audit)"
         ),
     )
     durability.add_argument(
@@ -480,8 +480,8 @@ def main(argv: list[str] | None = None) -> int:
     except StoreCorruptionError as exc:
         print(f"repro-experiments: corrupt run store: {exc}", file=sys.stderr)
         print(
-            "repro-experiments: hint: `repro-doctor --repair` audits and "
-            "rebuilds damaged runs",
+            "repro-experiments: hint: a run without a readable plan cannot "
+            "be resumed; start a new run (`repro-doctor` audits the store)",
             file=sys.stderr,
         )
         return 2

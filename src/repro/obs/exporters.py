@@ -8,8 +8,7 @@ Three files land in ``runs/<run-id>/`` next to ``manifest.json``:
     still has its telemetry up to the last checkpoint.
 ``metrics.json``
     The metrics registry (:meth:`MetricsRegistry.as_dict`), rewritten
-    atomically at each checkpoint — same temp-then-rename discipline as
-    the manifest.
+    atomically at each checkpoint by the run store's write helper.
 ``trace.json``
     Chrome trace-event format built from the full event log at the end
     of the campaign; loadable in Perfetto / ``chrome://tracing``.
@@ -27,7 +26,7 @@ from typing import Any, Iterable
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
-from repro.resilience.checkpoint import atomic_write_json
+from repro.resilience.checkpoint import RunStore, atomic_write_json
 from repro.resilience.errors import CheckpointError
 
 EVENTS_FILE = "events.jsonl"
@@ -287,17 +286,15 @@ def load_run(run_dir: str | Path):
 
     Returns ``(manifest_payload | None, events, metrics | None)`` —
     each piece optional so partially recorded runs still summarize.
+    The run header comes from the run store's verified objects, never
+    from the ``manifest.json`` report; it is ``None`` when the run has
+    no readable plan.
     """
     run_dir = Path(run_dir)
-    manifest: dict[str, Any] | None = None
-    manifest_path = run_dir / "manifest.json"
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"corrupt manifest: {exc}", path=str(manifest_path)
-            ) from exc
+    try:
+        manifest = RunStore(run_dir.parent).load(run_dir.name).to_dict()
+    except CheckpointError:
+        manifest = None
     events_path = run_dir / EVENTS_FILE
     events = read_events(events_path) if events_path.exists() else []
     metrics_path = run_dir / METRICS_FILE

@@ -7,12 +7,12 @@ This package provides the four pieces the experiment stack composes:
 
 * :mod:`repro.resilience.errors` — the ``ReproError`` hierarchy carrying
   experiment/machine/program context instead of bare tracebacks;
-* :mod:`repro.resilience.checkpoint` — atomic per-run manifests under
-  ``runs/<run-id>/`` enabling ``repro-experiments --resume``, backed by
-  the checksummed append-only journal in
-  :mod:`repro.resilience.journal` (torn or corrupt manifests are
-  *salvaged*, not fatal) and audited/repaired offline by
-  :mod:`repro.resilience.doctor` (``repro-doctor``);
+* :mod:`repro.resilience.checkpoint` — the run store under
+  ``runs/<run-id>/`` enabling ``repro-experiments --resume``: every
+  plan, record and profile is an object written whole and sealed with
+  its own checksum, and a corrupt object reads as missing and is
+  recomputed; :mod:`repro.resilience.doctor` (``repro-doctor``)
+  verifies, deletes and sweeps offline;
 * :mod:`repro.resilience.retry` — bounded retry-with-backoff and a
   watchdog timeout for wedged experiments;
 * :mod:`repro.resilience.faults` — a deterministic fault-injection

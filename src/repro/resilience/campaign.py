@@ -9,12 +9,14 @@ around each one:
 * bounded retry-with-backoff for transient failures;
 * graceful degradation — a failing experiment is recorded in the run
   manifest with its classified error and the batch continues;
-* atomic checkpointing after every experiment, so SIGINT (or a crash)
-  at any instant leaves a resumable ``runs/<run-id>/manifest.json``.
+* atomic checkpointing after every experiment — one record object per
+  experiment under ``runs/<run-id>/`` — so SIGINT (or a crash) at any
+  instant leaves a resumable run.
 
 ``--resume <run-id>`` replays the stored rendering of every completed
 experiment byte-for-byte (the simulator is deterministic, so stored and
-recomputed tables are identical) and runs only what is missing.
+recomputed tables are identical) and runs only what is missing,
+including any experiment whose record no longer verifies.
 
 ``--jobs N`` shards the remaining experiments across N worker processes
 (see :mod:`repro.resilience.parallel`); results merge back in plan
@@ -154,32 +156,30 @@ def _prepare_manifest(
     """Create a fresh manifest, or reload and replay a resumed one."""
     if config.resume:
         manifest = store.load(config.resume)
-        if manifest.salvaged:
-            # The manifest on disk was torn, stale, or corrupt and was
-            # rebuilt from the journal and result files; heal it now so
-            # the rest of the resume runs against a clean store.
+        if manifest.corrupt:
             reporter.error(
-                f"Manifest for run {manifest.run_id} was damaged; salvaged "
-                f"{len(manifest.records)} recorded experiment(s) from the "
-                "journal and result files."
+                f"Run {manifest.run_id}: the stored record(s) of "
+                f"{', '.join(manifest.corrupt)} are corrupt; treating them "
+                "as missing and running them again."
             )
-            for note in manifest.salvage_notes:
-                reporter.detail(f"  salvage: {note}")
-            store.save(manifest)
         if manifest.quick != config.quick:
             raise CheckpointError(
                 f"run {manifest.run_id!r} was recorded with "
                 f"quick={manifest.quick}; resume with the same flag so "
                 "results stay comparable",
-                path=str(store.manifest_path(manifest.run_id)),
+                path=str(store.plan_path(manifest.run_id)),
             )
         if config.ids and list(config.ids) != manifest.ids:
             raise CheckpointError(
                 f"run {manifest.run_id!r} planned {', '.join(manifest.ids)}; "
                 "resume without ids (or the same ids) to finish that plan",
-                path=str(store.manifest_path(manifest.run_id)),
+                path=str(store.plan_path(manifest.run_id)),
             )
         manifest.interrupted = False
+        # The report is rewritten from the verified objects, so a torn,
+        # flipped or deleted manifest.json heals here.
+        store.sweep_tmp(manifest.run_id)
+        store.save(manifest)
         done = [i for i in manifest.ids if (r := manifest.records.get(i)) and r.is_final]
         reporter.info(
             f"Resuming run {manifest.run_id}: {len(done)} of "

@@ -1,43 +1,45 @@
-"""Crash-safe run artifacts: manifests, result files, and the journal.
+"""Crash-safe run artifacts: one object store for plans, records and profiles.
 
 A campaign writes everything it learns under ``runs/<run-id>/``::
 
     runs/20260806-141503-1234/
-        manifest.json      # plan, status and outcome of every experiment
-        records.jsonl      # append-only checksummed journal (the WAL)
-        table1.json        # one file per completed experiment: rendered
-        table2.json        #   table, shape checks, error (if any), timing
+        plan.json            # run id, planned ids, quick flag, created_at
+        table1.json          # one record per experiment run: rendered
+        table2.json          #   table, shape checks, error (if any), timing
+        table2.profile.json  # locality profile (``--profile`` only)
+        manifest.json        # report: the plan plus every record
+        interrupted          # empty marker: the last campaign was interrupted
 
-Every JSON write is temp-file-then-``os.replace`` into place, so a
-crash (or an armed ``checkpoint.write``/``io.*`` fault) at any instant
-leaves the previous manifest intact.  On top of that, the store is
-*journaled*: each experiment record is appended to ``records.jsonl``
-(one sha256-checksummed line) **before** the manifest flush that will
-contain it, and each successful flush appends the manifest's digest.
-A torn, missing, or silently corrupted ``manifest.json`` is therefore
-*salvaged* on load — the run header and records are rebuilt from the
-journal and the intact per-experiment result files — instead of
-dead-ending the resume.  ``repro-doctor`` audits and repairs the same
-state offline (:mod:`repro.resilience.doctor`).
+Every stored thing is an *object*: written whole by :func:`atomic_write`
+(a per-writer tmp file, fsync, rename) and sealed with a ``sha256``
+field over the canonical JSON of its other fields (:func:`seal`).
+:func:`read_object` reads one back verified; bytes that do not parse
+or do not match their checksum are corrupt, and a corrupt object is
+treated as missing.  The simulator is deterministic, so nothing is lost
+that cannot be recomputed: ``--resume <run-id>`` replays every record
+that verifies and re-runs every planned experiment whose record is
+missing, corrupt, or not final.  Only ``plan.json`` cannot be
+recomputed; a run without a readable plan cannot be resumed.
 
-Because the simulator is deterministic, ``--resume <run-id>`` can skip
-completed experiments and replay their stored rendering byte-for-byte
-while re-running only what is missing — including after a salvage.
-
-Manifest versioning: ``MANIFEST_VERSION`` mismatches from older runs go
-through the :data:`MIGRATIONS` chain at load time instead of
-hard-failing; only *newer*-than-supported versions are rejected.
+``manifest.json`` is a *report* for readers outside ``src/`` (CI, the
+README, ``repro-trace``): it is rewritten from memory after every
+record, at interrupt, and when ``--resume`` opens the run, and nothing
+here reads it back — a torn or deleted report heals on the next resume.
+``repro-doctor`` verifies, deletes and sweeps offline
+(:mod:`repro.resilience.doctor`).
 """
 
 from __future__ import annotations
 
 import errno as errno_module
+import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.resilience.errors import (
     CheckpointError,
@@ -47,26 +49,21 @@ from repro.resilience.errors import (
     classify_error,
 )
 from repro.resilience.faults import fault_point
-from repro.resilience.journal import (
-    JOURNAL_NAME,
-    JOURNAL_VERSION,
-    JournalReplay,
-    append_entry,
-    file_checksum,
-    read_journal,
-)
 
 if TYPE_CHECKING:  # keep this module import-light: no experiment stack
     from repro.exp.base import ExperimentResult
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 #: Statuses that mean "this experiment ran to a verdict" — resume skips
 #: them.  ``error`` is *not* final: a resumed campaign retries it.
 FINAL_STATUSES = ("passed", "failed")
 
-#: Files in a run directory that are *not* per-experiment results.
-NON_RESULT_FILES = frozenset({"manifest.json", "metrics.json", "trace.json"})
+#: Fault sites one :func:`atomic_write` visits, in write order.
+WRITE_SITES = (
+    "io.enospc", "io.fsync-fail", "checkpoint.write", "io.torn-write",
+    "io.corrupt",
+)
 
 
 @dataclass
@@ -83,9 +80,8 @@ class ExperimentRecord:
     #: The experiment's locality profile (``repro.obs.profile`` payload)
     #: when the campaign ran with ``--profile``.  Deliberately *not*
     #: serialized into ``to_dict()``: it is persisted as its own
-    #: ``<id>.profile.json`` artifact, so manifests and journal records
-    #: stay byte-identical with and without profiling (same discipline
-    #: as ``RunManifest.salvaged``).
+    #: ``<id>.profile.json`` object, so records and manifests stay
+    #: byte-identical with and without profiling.
     profile: dict[str, Any] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
@@ -165,13 +161,9 @@ class RunManifest:
     interrupted: bool = False
     created_at: str = ""
     records: dict[str, ExperimentRecord] = field(default_factory=dict)
-    #: Set by the store when this manifest was rebuilt from the journal
-    #: and result files rather than read straight off ``manifest.json``.
-    #: Not serialized; ``salvage_notes`` says what was recovered.
-    salvaged: bool = field(default=False, compare=False, repr=False)
-    salvage_notes: list[str] = field(
-        default_factory=list, compare=False, repr=False
-    )
+    #: Planned experiments whose stored record failed verification when
+    #: the run was loaded; they count as pending.  Not serialized.
+    corrupt: list[str] = field(default_factory=list, compare=False, repr=False)
 
     def remaining(self) -> list[str]:
         """Planned experiments not yet run to a verdict, in plan order."""
@@ -190,30 +182,24 @@ class RunManifest:
             counts["pending" if record is None else record.status] += 1
         return counts
 
-    def to_dict(self) -> dict[str, Any]:
+    def plan_payload(self) -> dict[str, Any]:
+        """The ``plan.json`` object: the run header, never the records."""
         return {
-            "version": MANIFEST_VERSION,
-            "journal": JOURNAL_NAME,
             "run_id": self.run_id,
             "ids": self.ids,
             "quick": self.quick,
-            "interrupted": self.interrupted,
             "created_at": self.created_at,
+        }
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            **self.plan_payload(),
+            "version": MANIFEST_VERSION,
+            "interrupted": self.interrupted,
             "records": {
                 experiment_id: record.to_dict()
                 for experiment_id, record in self.records.items()
             },
-        }
-
-    def plan_payload(self) -> dict[str, Any]:
-        """The journal ``plan`` entry: the run header, never the records."""
-        return {
-            "version": MANIFEST_VERSION,
-            "journal_version": JOURNAL_VERSION,
-            "run_id": self.run_id,
-            "ids": self.ids,
-            "quick": self.quick,
-            "created_at": self.created_at,
         }
 
     @classmethod
@@ -232,115 +218,101 @@ class RunManifest:
 
 
 # ----------------------------------------------------------------------
-# Manifest schema migration
+# Objects: whole, sealed, verified
 # ----------------------------------------------------------------------
-def _migrate_v0(payload: dict[str, Any]) -> dict[str, Any]:
-    """v0 (unversioned prototype) -> v1: records was a *list*; key it by
-    experiment id and fill in the header fields v1 made mandatory."""
-    records = payload.get("records", [])
-    if isinstance(records, list):
-        payload["records"] = {
-            record["experiment_id"]: record
-            for record in records
-            if isinstance(record, dict) and "experiment_id" in record
-        }
-    payload.setdefault("quick", False)
-    payload.setdefault("interrupted", False)
-    payload.setdefault("created_at", "")
-    payload["version"] = 1
-    return payload
+def checksum(payload: dict[str, Any]) -> str:
+    """sha256 of ``payload``'s canonical JSON (sorted keys, no spaces)."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _migrate_v1(payload: dict[str, Any]) -> dict[str, Any]:
-    """v1 -> v2: the store gained its journal; manifests self-describe it."""
-    payload["journal"] = JOURNAL_NAME
-    payload["version"] = 2
-    return payload
+def seal(payload: dict[str, Any]) -> dict[str, Any]:
+    """``payload`` plus the ``sha256`` field :func:`read_object` checks."""
+    return {**payload, "sha256": checksum(payload)}
 
 
-#: Migration chain: ``MIGRATIONS[n]`` lifts a version-``n`` payload to
-#: ``n + 1``.  Every historical version is pinned by a test fixture.
-MIGRATIONS: dict[int, Callable[[dict[str, Any]], dict[str, Any]]] = {
-    0: _migrate_v0,
-    1: _migrate_v1,
-}
+def read_object(path: Path) -> dict[str, Any] | None:
+    """The verified payload of a sealed object (``sha256`` removed), or
+    ``None`` when the file does not exist.
 
-
-def migrate_payload(
-    payload: dict[str, Any], path: Path | None = None
-) -> tuple[dict[str, Any], int]:
-    """Lift an old manifest payload to ``MANIFEST_VERSION``.
-
-    Returns ``(payload, original_version)``.  Unknown or *newer*
-    versions raise — forward migration is the tool's job, not ours.
+    Raises :class:`StoreCorruptionError` when the bytes do not parse or
+    do not match their checksum, and a transient
+    :class:`CheckpointError` when they cannot be read at all — an I/O
+    problem is not corruption.
     """
-    version = payload.get("version", 0)
-    original = version
-    if not isinstance(version, int) or version < 0:
-        raise StoreCorruptionError(
-            f"manifest version {version!r} is not a known schema version",
-            path=str(path) if path else None,
-        )
-    if version > MANIFEST_VERSION:
-        raise CheckpointError(
-            f"manifest version {version} is newer than this tool supports "
-            f"(expected <= {MANIFEST_VERSION}); upgrade repro to read it",
-            path=str(path) if path else None,
-        )
-    while version < MANIFEST_VERSION:
-        payload = MIGRATIONS[version](payload)
-        version = payload["version"]
-    return payload, original
-
-
-# ----------------------------------------------------------------------
-# The shared disk-write primitive
-# ----------------------------------------------------------------------
-def _flip_byte(path: Path) -> None:
-    """Injected ``io.corrupt``: silent bit rot in the published file."""
-    data = bytearray(path.read_bytes())
-    if not data:
-        return
-    data[len(data) // 2] ^= 0xFF
-    path.write_bytes(bytes(data))
-
-
-def atomic_write_json(path: Path, payload: dict[str, Any]) -> str:
-    """Write JSON via temp-file-then-rename; returns the sha256 of the
-    published bytes (the journal records it in ``flush`` entries).
-
-    Readers never see a torn file — unless the ``io.torn-write`` fault
-    is armed, which deliberately leaves a prefix of the new content at
-    the final path (simulating a crash on a non-atomic filesystem)
-    before raising.  ``io.enospc`` and ``io.fsync-fail`` raise
-    ``OSError`` inside the write; ``io.corrupt`` flips a byte of the
-    published file *silently* after a successful rename.
-    """
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            fault_point("io.enospc", path=str(path))
-            handle.write(text)
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot read {path.parent.name}/{path.name}: {exc} (transient "
+            "I/O error, not corruption — retry, or check permissions)",
+            path=str(path),
+            transient=True,
+        ) from exc
+    try:
+        payload = json.loads(data)
+        intact = payload.pop("sha256") == checksum(payload)
+    except (ValueError, AttributeError, KeyError, TypeError):
+        intact = False
+    if not intact:
+        raise StoreCorruptionError(
+            f"{path.parent.name}/{path.name} is corrupt (does not parse or "
+            "match its checksum)",
+            path=str(path),
+        )
+    return payload
+
+
+def atomic_write(
+    path: Path, data: bytes, sites: tuple[str, ...] = WRITE_SITES
+) -> None:
+    """Publish ``data`` at ``path`` whole: per-writer tmp, fsync, rename.
+
+    The tmp name carries the writer's pid and thread, so concurrent
+    writers of one path (``--jobs`` workers storing the same trace)
+    never share a tmp file; the last rename wins with identical bytes.
+    Readers never see a torn file — unless ``io.torn-write`` is armed,
+    which leaves a prefix of ``data`` at the final path (a crash on a
+    non-atomic filesystem) before raising.  ``io.enospc`` and
+    ``io.fsync-fail`` raise ``OSError`` inside the write;
+    ``checkpoint.write`` raises after the fsync, before the rename;
+    ``io.corrupt`` flips a byte of the published file *silently*.  Only
+    the ``sites`` listed are visited.
+    """
+
+    def visit(site: str) -> None:
+        if site in sites:
+            fault_point(site, path=str(path))
+
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
+    )
+    try:
+        with open(tmp, "wb") as handle:
+            visit("io.enospc")
+            handle.write(data)
             handle.flush()
-            fault_point("io.fsync-fail", path=str(path))
+            visit("io.fsync-fail")
             os.fsync(handle.fileno())
         # A fault here simulates a crash after writing but before
         # publishing: the final path must still hold the previous version.
-        fault_point("checkpoint.write", path=str(path))
+        visit("checkpoint.write")
         try:
-            fault_point("io.torn-write", path=str(path))
+            visit("io.torn-write")
         except FaultInjected as exc:
-            with open(path, "w", encoding="utf-8") as torn:
-                torn.write(text[: max(1, len(text) // 2)])
+            path.write_bytes(data[: max(1, len(data) // 2)])
             raise CheckpointError(
                 f"injected torn write publishing {path.name}", path=str(path)
             ) from exc
         os.replace(tmp, path)
         try:
-            fault_point("io.corrupt", path=str(path))
-        except FaultInjected:
-            _flip_byte(path)  # the caller believes the write succeeded
+            visit("io.corrupt")
+        except FaultInjected:  # bit rot: the caller believes it succeeded
+            rotten = bytearray(data)
+            rotten[len(rotten) // 2] ^= 0xFF
+            path.write_bytes(bytes(rotten))
     except OSError as exc:
         hint = " (disk full)" if exc.errno == errno_module.ENOSPC else ""
         raise CheckpointError(
@@ -349,112 +321,18 @@ def atomic_write_json(path: Path, payload: dict[str, Any]) -> str:
             transient=True,
         ) from exc
     finally:
-        if tmp.exists():
-            tmp.unlink(missing_ok=True)
-    return file_checksum(text.encode("utf-8"))
+        tmp.unlink(missing_ok=True)
 
 
-# ----------------------------------------------------------------------
-# Salvage: rebuild a manifest from whatever survived
-# ----------------------------------------------------------------------
-def _header_matches(manifest: RunManifest, plan: dict[str, Any]) -> bool:
-    return (
-        manifest.run_id == plan.get("run_id", manifest.run_id)
-        and manifest.ids == list(plan.get("ids", manifest.ids))
-        and manifest.quick == plan.get("quick", manifest.quick)
-        and manifest.created_at == plan.get("created_at", manifest.created_at)
-    )
+def atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
+    """:func:`atomic_write` of ``payload`` as indented, key-sorted JSON."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    atomic_write(path, text.encode("utf-8"))
 
 
-def _manifest_covers(manifest: RunManifest, replay: JournalReplay) -> bool:
-    """Does the manifest already contain everything the journal knows?
-
-    True means the manifest is consistent with (or ahead of) the
-    journal — e.g. a crash landed between the manifest rename and the
-    journal's ``flush`` entry — and can be trusted as-is.
-    """
-    plan = replay.plan
-    if plan is not None and not _header_matches(manifest, plan):
-        return False
-    for experiment_id, payload in replay.records.items():
-        record = manifest.records.get(experiment_id)
-        if record is None or record.to_dict() != payload:
-            return False
-    return True
-
-
-def reconcile_sources(
-    run_id: str,
-    manifest: RunManifest | None,
-    replay: JournalReplay | None,
-    results: dict[str, dict[str, Any]],
-) -> tuple[RunManifest | None, list[str]]:
-    """Rebuild the best-supported manifest from the surviving sources.
-
-    Precedence: the journal's checksummed entries override the (possibly
-    corrupt or stale) manifest; intact per-experiment result files fill
-    records missing from both.  Returns ``(manifest, notes)`` —
-    ``None`` when no source can even name the run's plan.
-    """
-    notes: list[str] = []
-    plan = replay.plan if replay is not None else None
-    if manifest is not None:
-        base = manifest
-        if plan is not None and not _header_matches(manifest, plan):
-            base = RunManifest(
-                run_id=plan.get("run_id", run_id),
-                ids=list(plan.get("ids", [])),
-                quick=bool(plan.get("quick", False)),
-                created_at=plan.get("created_at", ""),
-                records=dict(manifest.records),
-            )
-            notes.append("run header restored from the journal plan entry")
-    elif plan is not None:
-        base = RunManifest(
-            run_id=plan.get("run_id", run_id),
-            ids=list(plan.get("ids", [])),
-            quick=bool(plan.get("quick", False)),
-            created_at=plan.get("created_at", ""),
-        )
-        notes.append("run header rebuilt from the journal plan entry")
-    elif results:
-        # Last resort: the plan is gone; at least preserve the outcomes.
-        base = RunManifest(run_id=run_id, ids=sorted(results))
-        notes.append(
-            "run header rebuilt from result files alone "
-            "(plan order lost; ids sorted)"
-        )
-    else:
-        return None, ["no surviving source for the run header"]
-
-    if replay is not None:
-        for experiment_id, payload in replay.records.items():
-            current = base.records.get(experiment_id)
-            if current is not None and current.to_dict() == payload:
-                continue
-            try:
-                base.records[experiment_id] = ExperimentRecord.from_dict(payload)
-            except (KeyError, TypeError):
-                continue
-            notes.append(f"record {experiment_id!r} restored from the journal")
-    for experiment_id, payload in results.items():
-        if experiment_id in base.records:
-            continue
-        try:
-            base.records[experiment_id] = ExperimentRecord.from_dict(payload)
-        except (KeyError, TypeError):
-            continue
-        notes.append(
-            f"record {experiment_id!r} restored from its result file"
-        )
-    for experiment_id in [e for e in base.records if e not in base.ids]:
-        del base.records[experiment_id]
-        notes.append(f"dropped record {experiment_id!r}: not in the plan")
-    # A salvaged run is by definition not a cleanly-interrupted one;
-    # resume clears the flag anyway, and repair must converge to the
-    # manifest an uninterrupted run would have written.
-    base.interrupted = False
-    return base, notes
+def write_object(path: Path, payload: dict[str, Any]) -> None:
+    """Publish ``payload`` as a sealed object (see :func:`read_object`)."""
+    atomic_write_json(path, seal(payload))
 
 
 class RunStore:
@@ -466,61 +344,36 @@ class RunStore:
     def run_dir(self, run_id: str) -> Path:
         return self.root / run_id
 
+    def plan_path(self, run_id: str) -> Path:
+        return self.run_dir(run_id) / "plan.json"
+
     def manifest_path(self, run_id: str) -> Path:
         return self.run_dir(run_id) / "manifest.json"
-
-    def journal_path(self, run_id: str) -> Path:
-        return self.run_dir(run_id) / JOURNAL_NAME
 
     def result_path(self, run_id: str, experiment_id: str) -> Path:
         return self.run_dir(run_id) / f"{experiment_id}.json"
 
     def artifact_path(self, run_id: str, name: str) -> Path:
-        """A named non-result artifact, e.g. ``table3.profile.json``.
-
-        Artifact stems carry a suffix (``<id>.profile``), so
-        :meth:`result_files` never mistakes them for result files: their
-        stem cannot equal the ``experiment_id`` field inside.
-        """
+        """A named companion object, e.g. ``table3.profile.json``."""
         return self.run_dir(run_id) / f"{name}.json"
+
+    def interrupted_path(self, run_id: str) -> Path:
+        return self.run_dir(run_id) / "interrupted"
 
     @staticmethod
     def generate_run_id() -> str:
         """Timestamp + pid: sortable, unique per process launch."""
         return time.strftime("%Y%m%d-%H%M%S") + f"-{os.getpid()}"
 
-    # ------------------------------------------------------------------
-    # Hygiene
-    # ------------------------------------------------------------------
-    def sweep_tmp(self, run_id: str) -> list[Path]:
+    def sweep_tmp(self, run_id: str) -> None:
         """Remove stray ``*.tmp`` files a hard kill left mid-write.
 
         The store is single-writer per run, so any ``.tmp`` present when
-        a run is opened is an orphan from a previous process — without
-        this sweep they accumulate forever.  Returns what was removed.
+        a campaign opens the run for writing is an orphan from a
+        previous process.
         """
-        run_dir = self.run_dir(run_id)
-        swept: list[Path] = []
-        if not run_dir.is_dir():
-            return swept
-        for tmp in sorted(run_dir.glob("*.tmp")):
-            try:
-                tmp.unlink()
-            except OSError:
-                continue
-            swept.append(tmp)
-        return swept
-
-    # ------------------------------------------------------------------
-    # Journal plumbing
-    # ------------------------------------------------------------------
-    def _ensure_journal(self, manifest: RunManifest) -> None:
-        """Guarantee the journal exists and opens with a plan entry
-        (runs recorded before the journal existed gain one on first
-        write after migration)."""
-        path = self.journal_path(manifest.run_id)
-        if not path.exists():
-            append_entry(path, "plan", manifest.plan_payload())
+        for tmp in self.run_dir(run_id).glob("*.tmp"):
+            tmp.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     # Creating and writing
@@ -530,7 +383,7 @@ class RunStore:
     ) -> RunManifest:
         run_id = run_id or self.generate_run_id()
         run_dir = self.run_dir(run_id)
-        if self.manifest_path(run_id).exists():
+        if self.plan_path(run_id).exists() or self.manifest_path(run_id).exists():
             raise CheckpointError(
                 f"run {run_id!r} already exists under {self.root}; "
                 "use --resume or pick another --run-id",
@@ -544,38 +397,35 @@ class RunStore:
             quick=quick,
             created_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
         )
+        write_object(self.plan_path(run_id), manifest.plan_payload())
         self.save(manifest)
         return manifest
 
     def save(self, manifest: RunManifest) -> None:
-        """Flush the manifest atomically (called after every experiment).
-
-        The journal then records the digest of the published bytes, so
-        a later load can tell a silently-corrupted manifest from the
-        one that was actually written.
-        """
-        self._ensure_journal(manifest)
-        digest = atomic_write_json(
+        """Rewrite the ``manifest.json`` report from memory, and mark
+        (or unmark) the run as interrupted."""
+        atomic_write_json(
             self.manifest_path(manifest.run_id), manifest.to_dict()
         )
-        append_entry(
-            self.journal_path(manifest.run_id), "flush", {"sha256": digest}
-        )
+        marker = self.interrupted_path(manifest.run_id)
+        try:
+            if manifest.interrupted:
+                marker.touch()
+            else:
+                marker.unlink(missing_ok=True)
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot update {marker.name}: {exc}",
+                path=str(marker),
+                transient=True,
+            ) from exc
 
     def record(self, manifest: RunManifest, record: ExperimentRecord) -> None:
-        """Attach one experiment's outcome and persist all three artifacts.
-
-        Write order is the durability contract: journal first (the
-        record survives any later crash), then the result file, then
-        the manifest flush.  A crash in any window loses nothing that
-        was journaled — load and ``repro-doctor`` replay it.
-        """
+        """Attach one experiment's outcome: its record object, then the
+        report.  A crash between the two loses nothing — resume reads
+        the record, never the report."""
         manifest.records[record.experiment_id] = record
-        self._ensure_journal(manifest)
-        append_entry(
-            self.journal_path(manifest.run_id), "record", record.to_dict()
-        )
-        atomic_write_json(
+        write_object(
             self.result_path(manifest.run_id, record.experiment_id),
             record.to_dict(),
         )
@@ -583,154 +433,57 @@ class RunStore:
 
     def record_artifact(
         self, manifest: RunManifest, name: str, payload: dict[str, Any]
-    ) -> str:
-        """Persist one named artifact and journal its digest.
-
-        File first, journal second — the inverse of the record/flush
-        discipline, because the journal only holds the artifact's
-        *digest*: a crash between the two leaves a valid artifact that
-        merely lacks its audit line (``repro-doctor`` reports it as
-        informational and ``--repair`` re-journals it).  Returns the
-        sha256 of the published bytes.
-        """
-        self._ensure_journal(manifest)
-        digest = atomic_write_json(
-            self.artifact_path(manifest.run_id, name), payload
-        )
-        append_entry(
-            self.journal_path(manifest.run_id),
-            "artifact",
-            {"name": name, "sha256": digest},
-        )
-        return digest
+    ) -> None:
+        """Persist one named companion object (a locality profile)."""
+        write_object(self.artifact_path(manifest.run_id, name), payload)
 
     # ------------------------------------------------------------------
-    # Loading (and salvaging)
+    # Loading
     # ------------------------------------------------------------------
-    def result_files(self, run_id: str) -> dict[str, dict[str, Any]]:
-        """Intact per-experiment result payloads, keyed by experiment id.
-
-        Result files are written atomically, so any one that parses and
-        self-identifies is trustworthy; torn or flipped ones are
-        skipped (the journal usually still has their record).
-        """
-        results: dict[str, dict[str, Any]] = {}
-        run_dir = self.run_dir(run_id)
-        if not run_dir.is_dir():
-            return results
-        for path in sorted(run_dir.glob("*.json")):
-            if path.name in NON_RESULT_FILES:
-                continue
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-                continue
-            if (
-                isinstance(payload, dict)
-                and payload.get("experiment_id") == path.stem
-                and "status" in payload
-            ):
-                results[path.stem] = payload
-        return results
-
-    def _parse_manifest_quietly(self, run_id: str) -> RunManifest | None:
-        """The manifest if it reads, parses, and migrates; else None."""
-        try:
-            payload = json.loads(
-                self.manifest_path(run_id).read_text(encoding="utf-8")
-            )
-            if not isinstance(payload, dict):
-                return None
-            payload, _ = migrate_payload(payload, self.manifest_path(run_id))
-            return RunManifest.from_dict(payload)
-        except Exception:
-            return None
-
-    def salvage(self, run_id: str, reason: str) -> RunManifest:
-        """Rebuild the run's manifest from every surviving source.
-
-        Raises :class:`StoreCorruptionError` when nothing survives to
-        rebuild from (no readable journal plan, manifest, or results).
-        """
-        replay: JournalReplay | None = None
-        if self.journal_path(run_id).exists():
-            replay = read_journal(self.journal_path(run_id))
-        manifest = self._parse_manifest_quietly(run_id)
-        results = self.result_files(run_id)
-        rebuilt, notes = reconcile_sources(run_id, manifest, replay, results)
-        if rebuilt is None or not rebuilt.ids:
-            raise StoreCorruptionError(
-                f"run {run_id!r}: {reason}, and neither the journal nor any "
-                "result file survives to salvage from; run "
-                f"`repro-doctor --runs-dir {self.root} --repair` to audit "
-                "the store",
-                path=str(self.manifest_path(run_id)),
-            )
-        rebuilt.salvaged = True
-        rebuilt.salvage_notes = [reason, *notes]
-        return rebuilt
-
     def load(self, run_id: str) -> RunManifest:
-        """Load a run, salvaging from the journal when the manifest is
-        torn, missing, stale, or silently corrupt.
+        """Rebuild a run from ``plan.json`` and its record objects.
 
-        The result's ``salvaged`` flag tells the caller the on-disk
-        manifest did not supply it verbatim (re-``save()`` to heal).
-        Read errors (``OSError``) are reported as transient I/O
-        problems, never as corruption.
+        A missing or corrupt record leaves its experiment pending (the
+        corrupt ones are listed in ``corrupt``).  A corrupt plan raises
+        :class:`StoreCorruptionError`; a missing one, or an unreadable
+        object, :class:`CheckpointError`.  Loading writes nothing, so a
+        reader may load a run while its campaign is still writing.
         """
-        path = self.manifest_path(run_id)
-        self.sweep_tmp(run_id)
-        journal_exists = self.journal_path(run_id).exists()
-        if not path.exists():
-            if journal_exists or self.result_files(run_id):
-                return self.salvage(run_id, "manifest missing")
-            known = sorted(
-                p.parent.name for p in self.root.glob("*/manifest.json")
-            )
+        path = self.plan_path(run_id)
+        plan = read_object(path)
+        if plan is None:
+            if self.run_dir(run_id).is_dir():
+                raise CheckpointError(
+                    f"run {run_id!r} has no plan.json (it was recorded by "
+                    "an older version of this tool, or is not a run); "
+                    "start a new run",
+                    path=str(path),
+                )
+            known = sorted(p.parent.name for p in self.root.glob("*/plan.json"))
             hint = f"; known runs: {', '.join(known)}" if known else ""
             raise CheckpointError(
                 f"no manifest for run {run_id!r} under {self.root}{hint}",
                 path=str(path),
             )
         try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot read manifest for run {run_id!r}: {exc} "
-                "(transient I/O error, not corruption — retry, or check "
-                "permissions)",
-                path=str(path),
-                transient=True,
-            ) from exc
-        try:
-            payload = json.loads(data.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise json.JSONDecodeError("not a JSON object", "", 0)
-            payload, _ = migrate_payload(payload, path)
-            manifest = RunManifest.from_dict(payload)
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            if journal_exists or self.result_files(run_id):
-                return self.salvage(
-                    run_id, f"corrupt manifest ({type(exc).__name__}: {exc})"
-                )
+            manifest = RunManifest.from_dict(
+                {**plan, "interrupted": self.interrupted_path(run_id).exists()}
+            )
+        except (KeyError, TypeError) as exc:
             raise StoreCorruptionError(
-                f"corrupt manifest for run {run_id!r}: {exc}; no journal "
-                "survives to salvage from — run "
-                f"`repro-doctor --runs-dir {self.root} --repair`",
+                f"plan.json of run {run_id!r} is malformed: {exc!r}",
                 path=str(path),
             ) from exc
-        if journal_exists:
-            replay = read_journal(self.journal_path(run_id))
-            if not _manifest_covers(manifest, replay):
-                digest_ok = replay.last_flush_digest in (
-                    None,
-                    file_checksum(data),
-                )
-                reason = (
-                    "manifest behind the journal"
-                    if digest_ok
-                    else "manifest checksum mismatch against the journal"
-                )
-                return self.salvage(run_id, reason)
+        for experiment_id in manifest.ids:
+            try:
+                payload = read_object(self.result_path(run_id, experiment_id))
+                if payload is None:
+                    continue
+                record = ExperimentRecord.from_dict(payload)
+            except (StoreCorruptionError, KeyError, TypeError):
+                record = None
+            if record is None or record.experiment_id != experiment_id:
+                manifest.corrupt.append(experiment_id)
+                continue
+            manifest.records[experiment_id] = record
         return manifest

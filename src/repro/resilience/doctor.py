@@ -1,28 +1,29 @@
-"""``repro-doctor``: audit and repair a runs root.
+"""``repro-doctor``: verify, delete and sweep the object stores.
 
-A long campaign's ``--resume`` is only as trustworthy as the bytes under
-``runs/``.  The doctor walks every run directory and reports what a
-crash, a full disk, or plain bit rot left behind::
+Everything a campaign stores is an object that carries its own checksum
+(:mod:`repro.resilience.checkpoint`, :mod:`repro.trace.store`), and a
+corrupt object is a miss that the next campaign recomputes.  So the
+doctor has three jobs, in run directories and trace stores alike::
 
-    repro-doctor                       # audit ./runs
+    repro-doctor                       # audit every run under ./runs
     repro-doctor --runs-dir /data/runs r1 r2
-    repro-doctor --repair              # rebuild what can be rebuilt
+    repro-doctor --trace-store traces  # also audit a trace store
+    repro-doctor --repair              # delete what the audit found
 
-Each finding carries a ``D``-code (mirroring the lint code table in
-DESIGN.md §11) and a severity; ``--repair`` then rebuilds a loadable
-manifest from the surviving sources — the checksummed journal first,
-intact per-experiment result files second — rewrites the journal
-wholesale, restores missing result files, and sweeps the debris
-(orphaned ``*.tmp`` writes, stale supervisor ``.hb`` heartbeats).
-After a successful repair, ``repro-experiments --resume <run-id>``
-converges to the same manifest an uninterrupted run would have written.
+* verify every object: ``plan.json``, records and profiles by their
+  ``sha256`` field, ``.rtr`` trace containers by their data checksum;
+* delete the corrupt ones (``--repair``): ``repro-experiments --resume``
+  re-runs a deleted record, and the next campaign regenerates a trace;
+* sweep debris (``--repair``): orphaned ``*.tmp`` writes and stale
+  supervisor ``.hb`` heartbeat files.
 
-Findings are narrated through :class:`repro.obs.progress.CampaignReporter`
-and published as ``doctor.finding`` instants on the event bus when
-telemetry is live, exactly like lint findings.
+``manifest.json`` is a report, not an object: ``--resume`` rewrites it
+from the objects, so the doctor leaves it alone.  Findings are narrated
+through :class:`repro.obs.progress.CampaignReporter` and published as
+``doctor.finding`` instants on the event bus when telemetry is live.
 
-Exit status: 0 when the store is healthy (or every problem was
-repaired), 1 when error-severity findings remain, 2 for usage errors.
+Exit status: 0 when no error-severity finding remains, 1 when one does,
+2 for usage errors.
 """
 
 from __future__ import annotations
@@ -34,59 +35,36 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.resilience.checkpoint import (
-    MANIFEST_VERSION,
-    NON_RESULT_FILES,
-    RunManifest,
-    RunStore,
-    atomic_write_json,
-    migrate_payload,
-)
+from repro.resilience.checkpoint import RunStore, read_object
 from repro.resilience.errors import CheckpointError, StoreCorruptionError
-from repro.resilience.journal import file_checksum, read_journal, rewrite
 
-#: The doctor's diagnostic codes (DESIGN.md §13).
+#: The doctor's diagnostic codes (DESIGN.md §13).  Retired numbers are
+#: never reused.
 CODES: dict[str, str] = {
-    "D001": "manifest missing (journal or result files survive)",
-    "D002": "manifest unreadable (transient I/O error)",
-    "D003": "manifest corrupt (does not parse or migrate)",
-    "D004": "manifest checksum mismatch against the journal flush digest",
-    "D005": "manifest behind the journal (missing journaled records)",
-    "D006": "manifest schema version drift (migratable)",
-    "D007": "manifest schema version newer than this tool supports",
-    "D008": "journal missing (rebuildable from the manifest)",
-    "D009": "journal line corrupt (checksum or parse failure)",
-    "D010": "journal torn tail (interrupted append)",
-    "D011": "orphaned .tmp file from an interrupted atomic write",
-    "D012": "result file has no manifest record",
-    "D013": "manifest record has no result file",
+    "D002": "object unreadable (transient I/O error)",
+    "D011": "orphaned .tmp file from an interrupted write",
     "D014": "stale supervisor heartbeat files",
-    "D015": "nothing survives to rebuild the run from",
-    "D016": "journaled artifact missing or digest mismatch",
-    "D017": "artifact file published but never journaled",
-    "D018": "indexed trace object missing from the store",
-    "D019": "trace object corrupt (bad header or data checksum)",
-    "D020": "trace object present but never indexed",
-    "D021": "trace index line untrustworthy (corrupt or torn)",
+    "D015": "no readable plan (the run cannot be resumed)",
+    "D019": "corrupt object (repair deletes it; it is recomputed)",
 }
 
 #: Pseudo run id stamped on trace-store findings (they audit
 #: ``--trace-store``, not a run directory).
 TRACE_STORE_LABEL = "trace-store"
 
-SEVERITIES = ("error", "warning", "info")
+SEVERITIES = ("error", "warning")
 
 
 @dataclass
 class Finding:
-    """One problem the audit found in one run directory."""
+    """One problem the audit found; ``paths`` are what repair deletes."""
 
     code: str
-    severity: str  # "error" | "warning" | "info"
+    severity: str  # "error" | "warning"
     run_id: str
     message: str
     repairable: bool = True
-    context: dict[str, Any] = field(default_factory=dict)
+    paths: list[Path] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.code not in CODES:
@@ -107,582 +85,135 @@ class Finding:
             "message": self.message,
             "repairable": self.repairable,
         }
-        if self.context:
-            payload["context"] = self.context
+        if self.paths:
+            payload["paths"] = [str(path) for path in self.paths]
         return payload
 
 
 # ----------------------------------------------------------------------
 # Audit
 # ----------------------------------------------------------------------
-def _manifest_findings(
-    store: RunStore, run_id: str, findings: list[Finding]
-) -> RunManifest | None:
-    """Audit ``manifest.json``; returns the parsed manifest if readable."""
-    path = store.manifest_path(run_id)
-    if not path.exists():
-        journal = store.journal_path(run_id).exists()
-        results = store.result_files(run_id)
-        if journal or results:
-            findings.append(
-                Finding(
-                    "D001",
-                    "error",
-                    run_id,
-                    "manifest.json is missing; "
-                    + ("the journal survives" if journal else "")
-                    + (" and " if journal and results else "")
-                    + (f"{len(results)} result file(s) survive" if results else ""),
-                )
-            )
-        else:
-            findings.append(
-                Finding(
-                    "D015",
-                    "error",
-                    run_id,
-                    "no manifest, journal, or result files survive",
-                    repairable=False,
-                )
-            )
-        return None
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        findings.append(
-            Finding(
-                "D002",
-                "error",
-                run_id,
-                f"manifest.json cannot be read: {exc} (transient I/O, "
-                "not corruption — retry or check permissions)",
-                repairable=False,
-            )
-        )
-        return None
-    try:
-        payload = json.loads(data.decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise json.JSONDecodeError("not a JSON object", "", 0)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        findings.append(
-            Finding("D003", "error", run_id, f"manifest.json is corrupt: {exc}")
-        )
-        return None
-    version = payload.get("version", 0)
-    if isinstance(version, int) and version > MANIFEST_VERSION:
-        findings.append(
-            Finding(
-                "D007",
-                "error",
-                run_id,
-                f"manifest version {version} is newer than supported "
-                f"({MANIFEST_VERSION}); upgrade repro instead of repairing",
-                repairable=False,
-            )
-        )
-        return None
-    try:
-        payload, original = migrate_payload(payload, path)
-        manifest = RunManifest.from_dict(payload)
-    except (CheckpointError, KeyError, TypeError) as exc:
-        findings.append(
-            Finding("D003", "error", run_id, f"manifest.json is corrupt: {exc}")
-        )
-        return None
-    if original != MANIFEST_VERSION:
-        findings.append(
-            Finding(
-                "D006",
-                "warning",
-                run_id,
-                f"manifest schema v{original} (current v{MANIFEST_VERSION}); "
-                "loads through the migration chain; repair rewrites it current",
-                context={"version": original},
-            )
-        )
-    return manifest
+def _bad_object(label: str, path: Path, exc: CheckpointError) -> Finding:
+    """D002 for a read that failed, D019 for bytes that do not verify."""
+    if exc.transient:
+        return Finding("D002", "error", label, str(exc), repairable=False)
+    return Finding(
+        "D019", "warning", label, f"{exc}; repair deletes it", paths=[path]
+    )
 
 
-def _journal_findings(
-    store: RunStore,
-    run_id: str,
-    manifest: RunManifest | None,
-    manifest_bytes: bytes | None,
-    findings: list[Finding],
-) -> None:
-    path = store.journal_path(run_id)
-    if not path.exists():
-        if manifest is not None:
-            findings.append(
-                Finding(
-                    "D008",
-                    "warning",
-                    run_id,
-                    "records.jsonl is missing (pre-journal run or deleted); "
-                    "repair rebuilds it from the manifest",
-                )
-            )
-        return
-    replay = read_journal(path)
-    if replay.torn_tail:
-        findings.append(
-            Finding(
-                "D010",
-                "info",
-                run_id,
-                "journal ends in a torn line (interrupted append); the "
-                "surviving entries replay cleanly",
-            )
+def _debris(label: str, tmp_files: list[Path]) -> list[Finding]:
+    if not tmp_files:
+        return []
+    return [
+        Finding(
+            "D011", "warning", label,
+            "orphaned tmp file(s) from interrupted writes: "
+            + ", ".join(p.name for p in tmp_files),
+            paths=tmp_files,
         )
-    for bad in replay.corrupt_lines:
-        findings.append(
-            Finding(
-                "D009",
-                "warning",
-                run_id,
-                f"journal line {bad.lineno} untrustworthy ({bad.reason})",
-                context={"lineno": bad.lineno, "reason": bad.reason},
-            )
-        )
-    if manifest is None:
-        return
-    digest = replay.last_flush_digest
-    if (
-        digest is not None
-        and manifest_bytes is not None
-        and digest != file_checksum(manifest_bytes)
-    ):
-        missing = [
-            experiment_id
-            for experiment_id, payload in replay.records.items()
-            if (record := manifest.records.get(experiment_id)) is None
-            or record.to_dict() != payload
-        ]
-        if missing:
-            findings.append(
-                Finding(
-                    "D005",
-                    "error",
-                    run_id,
-                    "manifest is behind the journal: record(s) "
-                    f"{', '.join(sorted(missing))} are journaled but not "
-                    "in the manifest",
-                    context={"records": sorted(missing)},
-                )
-            )
-        else:
-            findings.append(
-                Finding(
-                    "D004",
-                    "error",
-                    run_id,
-                    "manifest bytes do not match the digest the journal "
-                    "recorded at the last flush (silent corruption?)",
-                )
-            )
-    else:
-        stale = [
-            experiment_id
-            for experiment_id, payload in replay.records.items()
-            if (record := manifest.records.get(experiment_id)) is None
-            or record.to_dict() != payload
-        ]
-        if stale:
-            findings.append(
-                Finding(
-                    "D005",
-                    "error",
-                    run_id,
-                    "manifest is behind the journal: record(s) "
-                    f"{', '.join(sorted(stale))} are journaled but not "
-                    "in the manifest",
-                    context={"records": sorted(stale)},
-                )
-            )
-
-
-def _debris_findings(
-    store: RunStore,
-    run_id: str,
-    manifest: RunManifest | None,
-    findings: list[Finding],
-) -> None:
-    run_dir = store.run_dir(run_id)
-    tmp_files = sorted(p.name for p in run_dir.glob("*.tmp"))
-    if tmp_files:
-        findings.append(
-            Finding(
-                "D011",
-                "warning",
-                run_id,
-                f"orphaned tmp file(s) from interrupted writes: "
-                f"{', '.join(tmp_files)}",
-                context={"files": tmp_files},
-            )
-        )
-    heartbeats = sorted(p.name for p in run_dir.glob(".hb/*.hb"))
-    if heartbeats:
-        findings.append(
-            Finding(
-                "D014",
-                "warning",
-                run_id,
-                f"{len(heartbeats)} stale supervisor heartbeat file(s) "
-                "(the campaign process died without cleanup)",
-                context={"files": heartbeats},
-            )
-        )
-    if manifest is None:
-        return
-    results = store.result_files(run_id)
-    for experiment_id in sorted(set(results) - set(manifest.records)):
-        planned = experiment_id in manifest.ids
-        findings.append(
-            Finding(
-                "D012",
-                "warning" if planned else "info",
-                run_id,
-                f"result file {experiment_id}.json has no manifest record"
-                + (
-                    "" if planned
-                    else " and is not in the plan (left untouched)"
-                ),
-                repairable=planned,
-                context={"experiment_id": experiment_id},
-            )
-        )
-    for experiment_id in sorted(set(manifest.records) - set(results)):
-        findings.append(
-            Finding(
-                "D013",
-                "warning",
-                run_id,
-                f"record {experiment_id} has no intact result file; "
-                "repair regenerates it from the manifest",
-                context={"experiment_id": experiment_id},
-            )
-        )
-
-
-def _artifact_files(store: RunStore, run_id: str) -> dict[str, Path]:
-    """Non-result artifacts on disk, keyed by journal name (file stem).
-
-    Today the only artifact kind is the locality profile
-    (``<id>.profile.json``); the suffixed stem is what keeps these out
-    of :meth:`RunStore.result_files`.
-    """
-    run_dir = store.run_dir(run_id)
-    if not run_dir.is_dir():
-        return {}
-    return {
-        p.name[: -len(".json")]: p
-        for p in sorted(run_dir.glob("*.profile.json"))
-    }
-
-
-def _artifact_findings(
-    store: RunStore, run_id: str, findings: list[Finding]
-) -> None:
-    """Audit journaled artifact digests against the files on disk.
-
-    ``record_artifact`` writes the file first and journals its digest
-    second, so the two failure shapes are asymmetric: a journaled name
-    with no (or mismatched) file lost data (D016, warning), while a
-    file with no journal line is merely un-audited — the crash landed
-    between the two steps (D017, info; ``--repair`` journals it).
-    """
-    journal_path = store.journal_path(run_id)
-    journaled: dict[str, str] = {}
-    if journal_path.exists():
-        try:
-            journaled = read_journal(journal_path).artifacts
-        except CheckpointError:
-            journaled = {}
-    files = _artifact_files(store, run_id)
-    for name in sorted(set(journaled) - set(files)):
-        findings.append(
-            Finding(
-                "D016",
-                "warning",
-                run_id,
-                f"journaled artifact {name}.json is missing from disk; "
-                "repair drops its journal line",
-                context={"name": name},
-            )
-        )
-    for name, path in files.items():
-        if name not in journaled:
-            findings.append(
-                Finding(
-                    "D017",
-                    "info",
-                    run_id,
-                    f"artifact {name}.json was published but never "
-                    "journaled (crash between write and journal append); "
-                    "repair journals its digest",
-                    context={"name": name},
-                )
-            )
-            continue
-        try:
-            data = path.read_bytes()
-        except OSError:
-            continue
-        if file_checksum(data) != journaled[name]:
-            findings.append(
-                Finding(
-                    "D016",
-                    "warning",
-                    run_id,
-                    f"artifact {name}.json does not match its journaled "
-                    "digest (silent corruption?); repair re-journals the "
-                    "surviving bytes if they still parse",
-                    context={"name": name},
-                )
-            )
+    ]
 
 
 def audit_run(store: RunStore, run_id: str) -> list[Finding]:
     """Every problem the doctor can see in one run directory."""
-    findings: list[Finding] = []
-    manifest = _manifest_findings(store, run_id, findings)
-    manifest_bytes: bytes | None = None
-    if manifest is not None:
-        try:
-            manifest_bytes = store.manifest_path(run_id).read_bytes()
-        except OSError:
-            manifest_bytes = None
-    _journal_findings(store, run_id, manifest, manifest_bytes, findings)
-    _debris_findings(store, run_id, manifest, findings)
-    _artifact_findings(store, run_id, findings)
+    run_dir = store.run_dir(run_id)
+    findings = _debris(run_id, sorted(run_dir.glob("*.tmp")))
+    heartbeats = sorted(run_dir.glob(".hb/*.hb"))
+    if heartbeats:
+        findings.append(
+            Finding(
+                "D014", "warning", run_id,
+                f"{len(heartbeats)} stale supervisor heartbeat file(s) "
+                "(the campaign process died without cleanup)",
+                paths=heartbeats,
+            )
+        )
+    plan_path = store.plan_path(run_id)
+    try:
+        plan = read_object(plan_path)
+        problem = "plan.json is missing"
+    except StoreCorruptionError as exc:
+        plan, problem = None, str(exc)
+    except CheckpointError as exc:
+        return [*findings, _bad_object(run_id, plan_path, exc)]
+    if plan is None:
+        findings.append(
+            Finding(
+                "D015", "error", run_id,
+                f"{problem}; the run cannot be resumed — start a new run",
+                repairable=False,
+            )
+        )
+        return findings
+    for experiment_id in plan.get("ids", []):
+        for path in (
+            store.result_path(run_id, experiment_id),
+            store.artifact_path(run_id, f"{experiment_id}.profile"),
+        ):
+            try:
+                read_object(path)
+            except CheckpointError as exc:
+                findings.append(_bad_object(run_id, path, exc))
     return findings
 
 
 def audit_trace_store(root: Path) -> list[Finding]:
-    """Audit a ``--trace-store`` directory (``repro.trace.store``).
-
-    Three-way reconciliation between the checksummed ``index.jsonl``
-    and the content-addressed objects under ``objects/``: indexed
-    entries with no (or corrupt) object lost data; valid objects with
-    no index line are merely un-audited (the crash landed between the
-    object rename and the index append); untrustworthy index lines are
-    reported per line, exactly like run-journal damage.
-    """
-    findings: list[Finding] = []
-    index_path = root / "index.jsonl"
-    objects = sorted((root / "objects").glob("*/*.rtr"))
-    if not index_path.exists() and not objects:
-        return findings
-    indexed: dict[str, dict[str, Any]] = {}
-    if index_path.exists():
-        replay = read_journal(index_path)
-        for bad in replay.corrupt_lines:
-            findings.append(
-                Finding(
-                    "D021",
-                    "warning",
-                    TRACE_STORE_LABEL,
-                    f"index line {bad.lineno} untrustworthy ({bad.reason})",
-                    context={"lineno": bad.lineno, "reason": bad.reason},
-                )
-            )
-        if replay.torn_tail:
-            findings.append(
-                Finding(
-                    "D021",
-                    "info",
-                    TRACE_STORE_LABEL,
-                    "index ends in a torn line (interrupted append); the "
-                    "surviving entries replay cleanly",
-                )
-            )
-        indexed = replay.traces
-    on_disk = {path.stem: path for path in objects}
-    for digest in sorted(set(indexed) - set(on_disk)):
-        findings.append(
-            Finding(
-                "D018",
-                "warning",
-                TRACE_STORE_LABEL,
-                f"indexed trace object {digest[:12]}… is missing from "
-                "objects/; repair drops its index line (the trace "
-                "regenerates on the next campaign)",
-                context={"digest": digest},
-            )
-        )
+    """Audit a ``--trace-store`` directory (``repro.trace.store``):
+    every container's header and data checksum, and orphaned tmp files."""
     from repro.trace.store import verify_object
 
-    for digest, path in on_disk.items():
+    findings = _debris(TRACE_STORE_LABEL, sorted(root.glob("**/*.tmp")))
+    for path in sorted(root.glob("objects/*/*.rtr")):
         try:
-            header = verify_object(path)
-            if header.get("digest") != digest:
+            if verify_object(path).get("digest") != path.stem:
                 raise CheckpointError(
-                    f"header digest does not match object name {digest[:12]}…",
+                    f"header digest of {path.name} does not match its name",
                     path=str(path),
                 )
         except CheckpointError as exc:
-            findings.append(
-                Finding(
-                    "D019",
-                    "warning",
-                    TRACE_STORE_LABEL,
-                    f"trace object {path.name} is corrupt: {exc}; repair "
-                    "removes it (lookups already treat it as a miss)",
-                    context={"digest": digest},
-                )
-            )
-            continue
-        if digest not in indexed:
-            findings.append(
-                Finding(
-                    "D020",
-                    "info",
-                    TRACE_STORE_LABEL,
-                    f"trace object {path.name} was published but never "
-                    "indexed (crash between rename and index append); "
-                    "repair journals it",
-                    context={"digest": digest},
-                )
-            )
+            findings.append(_bad_object(TRACE_STORE_LABEL, path, exc))
     return findings
 
 
-def repair_trace_store(root: Path) -> list[str]:
-    """Rebuild a trace store to a clean, fully-indexed state.
-
-    Every object that passes the full integrity check keeps its place
-    and gets a fresh index line; corrupt objects are removed (the store
-    treats them as misses anyway, so this only sheds dead bytes).  The
-    index is rewritten wholesale with the same tmp-then-rename
-    discipline as run journals.
-    """
-    from repro.trace.store import index_payload, verify_object
-
-    actions: list[str] = []
-    entries: list[tuple[str, dict[str, Any]]] = []
-    for path in sorted((root / "objects").glob("*/*.rtr")):
-        try:
-            header = verify_object(path)
-            if header.get("digest") != path.stem:
-                raise CheckpointError(
-                    "header digest does not match object name",
-                    path=str(path),
-                )
-        except CheckpointError:
-            path.unlink(missing_ok=True)
-            actions.append(f"removed corrupt trace object {path.name}")
-            continue
-        entries.append(("trace", index_payload(header, path)))
-    for tmp in sorted(root.glob("**/*.tmp")):
-        tmp.unlink(missing_ok=True)
-        actions.append(f"removed orphaned tmp file {tmp.name}")
-    rewrite(root / "index.jsonl", entries)
-    actions.append(f"rebuilt trace index with {len(entries)} object(s)")
-    return actions
-
-
 def discover_runs(root: Path) -> list[str]:
-    """Run directories under ``root``: anything holding store artifacts."""
+    """Run directories under ``root``: anything holding store files."""
     if not root.is_dir():
         return []
-    runs = []
-    for child in sorted(root.iterdir()):
-        if not child.is_dir():
-            continue
-        has_artifacts = (
-            (child / "manifest.json").exists()
-            or (child / "records.jsonl").exists()
-            or any(
-                p.name not in NON_RESULT_FILES for p in child.glob("*.json")
-            )
-            or any(child.glob("*.tmp"))
-        )
-        if has_artifacts:
-            runs.append(child.name)
-    return runs
+    return [
+        child.name
+        for child in sorted(root.iterdir())
+        if child.is_dir()
+        and (any(child.glob("*.json")) or any(child.glob("*.tmp")))
+    ]
 
 
 # ----------------------------------------------------------------------
 # Repair
 # ----------------------------------------------------------------------
-def repair_run(store: RunStore, run_id: str) -> list[str]:
-    """Rebuild one run to a clean, loadable, journal-consistent state.
+def repair(findings: list[Finding]) -> list[str]:
+    """Delete what the repairable findings name; returns the actions.
 
-    Returns the actions taken.  Raises :class:`StoreCorruptionError`
-    when nothing survives to rebuild from (finding D015).
+    Raises :class:`CheckpointError` when a file cannot be deleted.
     """
     actions: list[str] = []
-    swept = store.sweep_tmp(run_id)
-    if swept:
-        actions.append(
-            f"removed {len(swept)} orphaned tmp file(s): "
-            + ", ".join(p.name for p in swept)
-        )
-    hb_dir = store.run_dir(run_id) / ".hb"
-    if hb_dir.is_dir():
-        stale = list(hb_dir.glob("*.hb"))
-        for hb in stale:
-            hb.unlink(missing_ok=True)
-        try:
-            hb_dir.rmdir()
-        except OSError:
-            pass
-        if stale:
-            actions.append(
-                f"removed {len(stale)} stale heartbeat file(s)"
-            )
-
-    # Salvage unconditionally: reconcile journal + manifest + results
-    # into the best-supported manifest, whatever state the files are in.
-    manifest = store.salvage(run_id, "doctor repair")
-    for note in manifest.salvage_notes[1:]:
-        actions.append(note)
-
-    # Restore result files the manifest has records for.
-    results = store.result_files(run_id)
-    for experiment_id, record in manifest.records.items():
-        if results.get(experiment_id) != record.to_dict():
-            atomic_write_json(
-                store.result_path(run_id, experiment_id), record.to_dict()
-            )
-            actions.append(f"rewrote result file {experiment_id}.json")
-
-    # Rebuild the journal wholesale: one plan entry, one record entry
-    # per recorded experiment (plan order), then let save() publish the
-    # manifest and append the flush digest.
-    entries: list[tuple[str, dict[str, Any]]] = [
-        ("plan", manifest.plan_payload())
-    ]
-    for experiment_id in manifest.ids:
-        record = manifest.records.get(experiment_id)
-        if record is not None:
-            entries.append(("record", record.to_dict()))
-    # Re-journal surviving artifacts (``<id>.profile.json``): intact
-    # files get a fresh digest line — covering both the never-journaled
-    # crash window and a journal lost wholesale — while unparseable
-    # ones are swept, since an artifact that does not parse serves no
-    # reader and would fail its digest audit forever.
-    for name, path in sorted(_artifact_files(store, run_id).items()):
-        try:
-            data = path.read_bytes()
-            json.loads(data.decode("utf-8"))
-        except OSError:
+    for finding in findings:
+        if not finding.repairable:
             continue
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            path.unlink(missing_ok=True)
-            actions.append(f"removed corrupt artifact {name}.json")
-            continue
-        entries.append(
-            ("artifact", {"name": name, "sha256": file_checksum(data)})
-        )
-    rewrite(store.journal_path(run_id), entries)
-    actions.append(f"rebuilt journal with {len(entries)} entries")
-    store.save(manifest)
-    actions.append(f"rewrote manifest.json (schema v{MANIFEST_VERSION})")
-    # sweep_tmp again: atomic_write_json cleans after itself, but a
-    # fault injected during repair must not leave new debris behind.
-    store.sweep_tmp(run_id)
+        for path in finding.paths:
+            try:
+                path.unlink(missing_ok=True)
+            except OSError as exc:
+                raise CheckpointError(
+                    f"cannot delete {path.name}: {exc}", path=str(path)
+                ) from exc
+        if finding.code == "D014":
+            try:
+                finding.paths[0].parent.rmdir()
+            except OSError:
+                pass  # a live writer re-created a heartbeat; leave it
+        names = ", ".join(path.name for path in finding.paths)
+        actions.append(f"{finding.code}: deleted {names}")
     return actions
 
 
@@ -693,9 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-doctor",
         description=(
-            "Audit (and with --repair, rebuild) the campaign run store: "
-            "torn or corrupt manifests, journal damage, version drift, "
-            "orphaned tmp files, and stale supervisor heartbeats."
+            "Verify every stored object of the campaign run store (and "
+            "with --trace-store, a trace store); --repair deletes corrupt "
+            "objects, orphaned tmp files and stale heartbeats."
         ),
     )
     parser.add_argument(
@@ -715,17 +246,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "also audit a content-addressed trace store (index vs. "
-            "objects, full data checksums); --repair removes corrupt "
-            "objects and rebuilds the index from the survivors"
+            "also audit a content-addressed trace store (full data "
+            "checksums of every object, orphaned tmp files)"
         ),
     )
     parser.add_argument(
         "--repair",
         action="store_true",
         help=(
-            "rebuild damaged runs from the journal and surviving result "
-            "files, rewrite their manifests, and sweep debris"
+            "delete corrupt objects (the next campaign recomputes them) "
+            "and sweep debris"
         ),
     )
     parser.add_argument(
@@ -742,10 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-q", "--quiet", action="store_true",
         help="print only the summary line (text format)",
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="narrate info-severity findings too",
     )
     return parser
 
@@ -785,42 +311,26 @@ def main(argv: list[str] | None = None) -> int:
         print(f"doctor: no runs found under {root}")
         return 0
 
-    all_findings: list[Finding] = []
+    audits = {run_id: audit_run(store, run_id) for run_id in run_ids}
+    if args.trace_store:
+        audits[TRACE_STORE_LABEL] = audit_trace_store(Path(args.trace_store))
+    all_findings = [f for findings in audits.values() for f in findings]
     repaired: dict[str, list[str]] = {}
     failed_repairs: dict[str, str] = {}
-    for run_id in run_ids:
-        findings = audit_run(store, run_id)
-        all_findings.extend(findings)
-        needs_repair = any(f.repairable for f in findings)
-        if args.repair and needs_repair:
+    if args.repair:
+        for label, findings in audits.items():
             try:
-                repaired[run_id] = repair_run(store, run_id)
-            except (StoreCorruptionError, CheckpointError) as exc:
-                failed_repairs[run_id] = str(exc)
-    if args.trace_store:
-        trace_findings = audit_trace_store(Path(args.trace_store))
-        all_findings.extend(trace_findings)
-        if args.repair and any(f.repairable for f in trace_findings):
-            try:
-                repaired[TRACE_STORE_LABEL] = repair_trace_store(
-                    Path(args.trace_store)
-                )
-            except (StoreCorruptionError, CheckpointError) as exc:
-                failed_repairs[TRACE_STORE_LABEL] = str(exc)
-
+                actions = repair(findings)
+            except CheckpointError as exc:
+                failed_repairs[label] = str(exc)
+                continue
+            if actions:
+                repaired[label] = actions
     _emit_findings(all_findings)
 
-    errors = [f for f in all_findings if f.severity == "error"]
-    unrepaired_errors = [
-        f
-        for f in errors
-        if f.run_id not in repaired or not f.repairable
-    ]
-    healthy = not all_findings
-    if args.repair:
-        status = 1 if (unrepaired_errors or failed_repairs) else 0
-    else:
-        status = 1 if errors else 0
+    # Errors (D002, D015) are exactly the findings repair cannot fix.
+    errors = any(f.severity == "error" for f in all_findings)
+    status = 1 if (errors or failed_repairs) else 0
 
     if args.format == "json":
         print(
@@ -830,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
                     "findings": [f.to_dict() for f in all_findings],
                     "repaired": repaired,
                     "failed_repairs": failed_repairs,
-                    "healthy": healthy,
+                    "healthy": not all_findings,
                 },
                 indent=2,
                 sort_keys=True,
@@ -840,7 +350,6 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.obs.progress import CampaignReporter
 
-    verbosity = -1 if args.quiet else (1 if args.verbose else 0)
     counts = {s: 0 for s in SEVERITIES}
     for finding in all_findings:
         counts[finding.severity] += 1
@@ -849,22 +358,21 @@ def main(argv: list[str] | None = None) -> int:
         audited += " + trace store"
     summary = (
         f"doctor: {audited} audited — "
-        f"{counts['error']} error(s), {counts['warning']} warning(s), "
-        f"{counts['info']} note(s)"
-        + (f"; {len(repaired)} run(s) repaired" if repaired else "")
+        f"{counts['error']} error(s), {counts['warning']} warning(s)"
+        + (f"; {len(repaired)} store(s) repaired" if repaired else "")
         + (
             f"; {len(failed_repairs)} repair(s) FAILED"
             if failed_repairs
             else ""
         )
     )
-    with CampaignReporter(sys.stdout, sys.stderr, verbosity) as reporter:
+    with CampaignReporter(sys.stdout, sys.stderr, -1 if args.quiet else 0) as reporter:
         reporter.doctor_findings(all_findings, summary)
-        for run_id, actions in repaired.items():
+        for label, actions in repaired.items():
             for action in actions:
-                reporter.info(f"  repaired {run_id}: {action}")
-        for run_id, error in failed_repairs.items():
-            reporter.error(f"  repair failed for {run_id}: {error}")
+                reporter.info(f"  repaired {label}: {action}")
+        for label, error in failed_repairs.items():
+            reporter.error(f"  repair failed for {label}: {error}")
     return status
 
 

@@ -20,12 +20,12 @@ in a traceback.  The hierarchy:
     │                                   experiment died (classified
     │                                   ``worker-crash``; see
     │                                   ``repro.resilience.supervisor``)
-    └── ``CheckpointError``   — a run manifest could not be read or written
-            └── ``StoreCorruptionError`` — run-store bytes are provably
-                                  bad (torn/corrupt manifest, checksum
-                                  mismatch) and salvage found nothing
-                                  to rebuild from (classified
-                                  ``corruption``; see ``repro-doctor``)
+    └── ``CheckpointError``   — a stored object could not be read or written
+            └── ``StoreCorruptionError`` — a stored object's bytes do not
+                                  parse or match their checksum; fatal
+                                  only for a run's ``plan.json``
+                                  (classified ``corruption``; see
+                                  ``repro-doctor``)
 
 ``ConfigError`` deliberately subclasses ``ValueError`` so the many
 call sites (and tests) written against ``ValueError`` keep working while
@@ -203,7 +203,8 @@ class WorkerCrashError(ExperimentError):
 
 
 class CheckpointError(ReproError):
-    """A run manifest or result file could not be read or written.
+    """A stored object (plan, record, report, trace) could not be read
+    or written.
 
     A *read* failure (``OSError`` underneath) is transient — the disk
     hiccuped, the file may be fine — and is reported as such; it is
@@ -217,14 +218,12 @@ class CheckpointError(ReproError):
 
 
 class StoreCorruptionError(CheckpointError):
-    """Run-store content is provably damaged and could not be salvaged.
+    """A stored object's bytes do not parse or match their checksum.
 
-    Raised only after the salvage path (journal replay plus intact
-    per-experiment result files) found nothing to rebuild from: a torn
-    or corrupt ``manifest.json`` with no surviving journal.  The
-    message carries the repair hint (``repro-doctor --repair``);
-    classified ``corruption`` so campaign summaries distinguish bad
-    bytes from bad I/O.
+    A corrupt record is treated as missing and re-run, so this only
+    escapes for a run's ``plan.json``, the one object that cannot be
+    recomputed: the run cannot be resumed.  Classified ``corruption``
+    so campaign summaries distinguish bad bytes from bad I/O.
     """
 
 

@@ -41,10 +41,10 @@ the ``mode`` field is ignored — the site name determines the behaviour:
 
 Disk fault sites
 ----------------
-The ``io.*`` sites exercise the durable run store
-(:mod:`repro.resilience.checkpoint` and
-:mod:`repro.resilience.journal`); like the ``worker.*`` sites, the site
-name determines the behaviour and ``mode`` is ignored:
+The ``io.*`` sites exercise the object stores' one write helper,
+:func:`repro.resilience.checkpoint.atomic_write` (trace containers
+visit only ``io.enospc``); like the ``worker.*`` sites, the site name
+determines the behaviour and ``mode`` is ignored:
 
 ``io.enospc``
     Raise ``OSError(ENOSPC)`` inside the write, simulating a full disk;
@@ -55,11 +55,12 @@ name determines the behaviour and ``mode`` is ignored:
 ``io.torn-write``
     The writer leaves a *torn* file (a prefix of the new content) at
     the final path and raises, simulating a crash mid-write on a
-    non-atomic filesystem.  Salvage and ``repro-doctor`` must recover.
+    non-atomic filesystem.  The torn object fails its checksum, so it
+    reads as missing and ``--resume`` recomputes it.
 ``io.corrupt``
     A byte of the just-published file is flipped *silently* — the
-    writer believes the write succeeded.  Bit rot; only checksums can
-    catch it later.
+    writer believes the write succeeded.  Bit rot; the object's
+    checksum catches it on the next read.
 """
 
 from __future__ import annotations

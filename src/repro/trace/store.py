@@ -19,10 +19,9 @@ This module makes the stream a first-class, cachable artifact:
 * :func:`load_trace` memory-maps the container read-only — the arrays
   handed back are views into the page cache, never copies;
 * :class:`TraceStore` content-addresses the containers under
-  ``<root>/objects/`` keyed by :class:`TraceKey` and journals every
-  stored object into ``<root>/index.jsonl`` with the same checksummed
-  append-only discipline as run journals, so ``repro-doctor`` can audit
-  and repair the store.
+  ``<root>/objects/`` keyed by :class:`TraceKey`; each container
+  carries the sha256 of its data region, so ``repro-doctor`` can verify
+  every object and delete the corrupt ones.
 
 The content-address key is ``(app, version, config-digest, code-hash)``:
 any change to the experiment configuration, the machine geometry, the
@@ -39,7 +38,6 @@ import hashlib
 import importlib
 import json
 import logging
-import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
@@ -48,9 +46,8 @@ from typing import Any
 import numpy as np
 
 from repro.core.stats import SchedulingStats
+from repro.resilience.checkpoint import atomic_write
 from repro.resilience.errors import CheckpointError
-from repro.resilience.faults import fault_point
-from repro.resilience.journal import append_entry, file_checksum, read_journal
 
 log = logging.getLogger("repro.campaign")
 
@@ -389,6 +386,9 @@ def write_trace(
     NUL pad to 16 | arrays`` with each array 16-byte aligned; the header
     records every array's offset/dtype/count and the sha256 of the whole
     data region, so the doctor can verify integrity without a schema.
+    Only the ``io.enospc`` fault site fires: :meth:`TraceStore.get` does
+    not hash payloads, so a simulated torn or flipped container would
+    replay wrong numbers silently.
     """
     blobs = {
         name: np.ascontiguousarray(arrays[name], dtype=np.dtype(dtype))
@@ -402,7 +402,7 @@ def write_trace(
         header,
         {name: len(blob) for name, blob in blobs.items()},
         int(blobs["counts"].sum()),
-        file_checksum(data),
+        hashlib.sha256(data).hexdigest(),
     )
     encoded = _canonical_json(header).encode()
     prefix = (
@@ -412,20 +412,7 @@ def write_trace(
         + encoded
     )
     blob = prefix.ljust(header["data_offset"], b"\0") + data
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            fault_point("io.enospc", path=str(path))
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot write trace {path.name}: {exc}", path=str(path)
-        ) from exc
-    finally:
-        tmp.unlink(missing_ok=True)
+    atomic_write(path, blob, sites=("io.enospc",))
 
 
 @dataclass
@@ -484,7 +471,9 @@ def read_header(path: Path) -> dict[str, Any]:
             encoded = handle.read(header_len)
     except OSError as exc:
         raise CheckpointError(
-            f"cannot read trace {path.name}: {exc}", path=str(path)
+            f"cannot read trace {path.name}: {exc}",
+            path=str(path),
+            transient=True,
         ) from exc
     if len(encoded) != header_len:
         raise CheckpointError(
@@ -571,10 +560,12 @@ def verify_object(path: Path) -> dict[str, Any]:
     try:
         with open(path, "rb") as handle:
             handle.seek(data_offset)
-            actual = file_checksum(handle.read())
+            actual = hashlib.sha256(handle.read()).hexdigest()
     except OSError as exc:
         raise CheckpointError(
-            f"cannot read trace {path.name}: {exc}", path=str(path)
+            f"cannot read trace {path.name}: {exc}",
+            path=str(path),
+            transient=True,
         ) from exc
     if actual != recorded:
         raise CheckpointError(
@@ -583,37 +574,21 @@ def verify_object(path: Path) -> dict[str, Any]:
     return header
 
 
-def index_payload(header: dict[str, Any], path: Path) -> dict[str, Any]:
-    """The journaled ``trace`` index entry for one stored object."""
-    return {
-        "digest": header["digest"],
-        "key": header["key"],
-        "program": header["program"],
-        "machine": header["machine"],
-        "batches": header["batches"],
-        "lines": header["arrays"]["lines"]["count"],
-        "total_refs": header["total_refs"],
-        "bytes": path.stat().st_size,
-        "payload_sha256": header["payload_sha256"],
-    }
-
-
 class TraceStore:
     """Content-addressed store of trace containers on disk.
 
     ``<root>/objects/<aa>/<digest>.rtr`` holds the containers (the file
-    name *is* the content address, so lookup is a path check);
-    ``<root>/index.jsonl`` journals one checksummed ``trace`` entry per
-    stored object for the doctor.  All writes are atomic and idempotent,
+    name *is* the content address, so lookup is a path check).  All
+    writes are atomic, idempotent and go through a per-writer tmp file,
     so concurrent ``--jobs`` workers sharing a store race benignly: the
-    loser of a rename publishes identical bytes, and duplicate index
-    lines collapse on replay (last entry per digest wins).
+    loser of a rename publishes identical bytes.  Nothing sweeps the
+    store when it opens, since other writers may be mid-write;
+    ``repro-doctor --trace-store`` sweeps orphaned tmp files offline.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.objects = self.root / "objects"
-        self.index_path = self.root / "index.jsonl"
         self.objects.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
@@ -626,7 +601,7 @@ class TraceStore:
         """The stored trace for ``key``, or ``None`` on miss.
 
         An unreadable or mismatched object is treated as a miss (the
-        caller regenerates; the doctor reports and repairs the debris) —
+        caller regenerates; the doctor reports and deletes the debris) —
         a broken store never breaks an experiment.
         """
         path = self.object_path(key.digest)
@@ -684,21 +659,11 @@ class TraceStore:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             write_trace(path, header, arrays)
-            append_entry(
-                self.index_path, "trace",
-                index_payload(read_header(path), path),
-            )
         except (CheckpointError, OSError) as exc:
             log.warning("trace store: could not store %s (%s)", digest, exc)
             return None
         self.stores += 1
         return digest
-
-    def indexed(self) -> dict[str, dict[str, Any]]:
-        """Surviving index entries by digest (forgiving journal replay)."""
-        if not self.index_path.exists():
-            return {}
-        return read_journal(self.index_path).traces
 
     def object_paths(self) -> list[Path]:
         return sorted(self.objects.glob("*/*.rtr"))

@@ -22,6 +22,7 @@ from repro.obs.exporters import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
+from repro.resilience.checkpoint import ExperimentRecord, RunStore
 from repro.resilience.errors import CheckpointError
 
 
@@ -179,16 +180,37 @@ class TestRunTelemetryWriter:
 
     def test_load_run_returns_all_pieces(self, tmp_path):
         run_dir = tmp_path / "r1"
+        RunStore(tmp_path).new_run(["a"], run_id="r1")
         obs = Telemetry()
         writer = RunTelemetryWriter(run_dir, obs)
         obs.bus.instant("x")
         writer.finalize()
-        (run_dir / "manifest.json").write_text(
-            json.dumps({"run_id": "r1", "ids": ["a"], "records": {}})
-        )
         manifest, events, metrics = load_run(run_dir)
         assert manifest["run_id"] == "r1"
+        assert manifest["ids"] == ["a"]
         assert [e["name"] for e in events] == ["x"]
+        assert metrics is not None
+
+    def test_load_run_reads_the_store_not_the_report(self, tmp_path):
+        # A torn manifest.json report must not hide intact telemetry.
+        run_dir = tmp_path / "r1"
+        store = RunStore(tmp_path)
+        manifest = store.new_run(["a"], run_id="r1")
+        store.record(manifest, ExperimentRecord("a", "passed"))
+        obs = Telemetry()
+        RunTelemetryWriter(run_dir, obs).finalize()
+        report = store.manifest_path("r1")
+        report.write_bytes(report.read_bytes()[: report.stat().st_size // 2])
+        loaded, _, metrics = load_run(run_dir)
+        assert loaded["records"]["a"]["status"] == "passed"
+        assert metrics is not None
+
+    def test_load_run_without_a_readable_plan_has_no_header(self, tmp_path):
+        run_dir = tmp_path / "r1"
+        RunTelemetryWriter(run_dir, Telemetry()).finalize()
+        (run_dir / "plan.json").write_text("{ torn")
+        manifest, _, metrics = load_run(run_dir)
+        assert manifest is None
         assert metrics is not None
 
     def test_load_run_tolerates_missing_files(self, tmp_path):

@@ -95,6 +95,13 @@ class TestTraceCli:
         assert "Span flamegraph" in text
         assert "Span summary" not in text
 
+    def test_torn_manifest_report_still_renders(self, tmp_path, capsys):
+        _, run_dir = run_recorded_campaign(tmp_path)
+        report = run_dir / "manifest.json"
+        report.write_bytes(report.read_bytes()[: report.stat().st_size // 2])
+        assert trace_main([str(run_dir), "--section", "summary"]) == 0
+        assert "Run r1 (created" in capsys.readouterr().out
+
     def test_missing_directory_is_exit_2(self, tmp_path, capsys):
         assert trace_main([str(tmp_path / "nope")]) == 2
         assert "not a directory" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Tests for atomic run manifests and per-experiment result files."""
+"""Tests for the run store's sealed objects and the manifest report."""
 
 import json
 
@@ -10,6 +10,10 @@ from repro.resilience.checkpoint import (
     RunManifest,
     RunStore,
     atomic_write_json,
+    checksum,
+    read_object,
+    seal,
+    write_object,
 )
 from repro.resilience.errors import (
     CheckpointError,
@@ -35,7 +39,7 @@ class TestAtomicWrite:
         atomic_write_json(path, {"a": 1})
         atomic_write_json(path, {"a": 2})
         assert json.loads(path.read_text()) == {"a": 2}
-        assert not (tmp_path / "m.json.tmp").exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_crash_during_write_keeps_previous_version(self, tmp_path):
         """An armed checkpoint.write fault simulates dying after the temp
@@ -112,7 +116,21 @@ class TestRunStore:
         store.record(manifest, ExperimentRecord.from_result(make_result(), 0.2))
         per_experiment = json.loads(store.result_path("r1", "table1").read_text())
         assert per_experiment["status"] == "passed"
+        report = json.loads(store.manifest_path("r1").read_text())
+        assert report["records"]["table1"]["status"] == "passed"
         assert store.load("r1").records["table1"].status == "passed"
+
+    def test_objects_are_sealed_with_their_checksum(self, tmp_path):
+        store = RunStore(tmp_path)
+        manifest = store.new_run(["a"], run_id="r1")
+        record = ExperimentRecord("a", "passed", rendered="T")
+        store.record(manifest, record)
+        stored = json.loads(store.result_path("r1", "a").read_text())
+        assert stored == seal(record.to_dict())
+        assert stored["sha256"] == checksum(record.to_dict())
+        plan = read_object(store.plan_path("r1"))
+        assert plan == manifest.plan_payload()
+        assert "sha256" not in json.loads(store.manifest_path("r1").read_text())
 
     def test_duplicate_run_id_rejected(self, tmp_path):
         store = RunStore(tmp_path)
@@ -126,30 +144,46 @@ class TestRunStore:
         with pytest.raises(CheckpointError, match="seen"):
             store.load("never-created")
 
-    def test_load_corrupt_manifest_salvages_from_journal(self, tmp_path):
+    def test_load_never_reads_the_manifest_report(self, tmp_path):
         store = RunStore(tmp_path)
-        store.new_run(["a"], run_id="r1")
+        manifest = store.new_run(["a", "b"], run_id="r1")
+        store.record(manifest, ExperimentRecord("a", "passed", rendered="T"))
         store.manifest_path("r1").write_text("{ not json")
         loaded = store.load("r1")
-        assert loaded.salvaged
-        assert loaded.ids == ["a"]
+        assert loaded.ids == ["a", "b"]
+        assert loaded.records["a"].rendered == "T"
 
-    def test_load_corrupt_manifest_without_journal_raises(self, tmp_path):
+    def test_load_corrupt_plan_raises(self, tmp_path):
         store = RunStore(tmp_path)
         store.new_run(["a"], run_id="r1")
-        store.manifest_path("r1").write_text("{ not json")
-        store.journal_path("r1").unlink()
+        store.plan_path("r1").write_text("{ not json")
         with pytest.raises(StoreCorruptionError, match="corrupt"):
             store.load("r1")
 
-    def test_load_wrong_version(self, tmp_path):
+    def test_corrupt_or_misnamed_record_is_pending(self, tmp_path):
         store = RunStore(tmp_path)
-        store.new_run(["a"], run_id="r1")
-        payload = json.loads(store.manifest_path("r1").read_text())
-        payload["version"] = 99
-        store.manifest_path("r1").write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="version"):
-            store.load("r1")
+        manifest = store.new_run(["a", "b"], run_id="r1")
+        for experiment_id in ("a", "b"):
+            store.record(manifest, ExperimentRecord(experiment_id, "passed"))
+        store.result_path("r1", "a").write_text("{ torn")
+        # Sealed and intact, but filed under another experiment's name.
+        write_object(
+            store.result_path("r1", "b"), ExperimentRecord("a", "passed").to_dict()
+        )
+        loaded = store.load("r1")
+        assert loaded.records == {}
+        assert loaded.corrupt == ["a", "b"]
+        assert loaded.remaining() == ["a", "b"]
+
+    def test_interrupted_flag_survives_a_reload(self, tmp_path):
+        store = RunStore(tmp_path)
+        manifest = store.new_run(["a"], run_id="r1")
+        manifest.interrupted = True
+        store.save(manifest)
+        assert store.load("r1").interrupted
+        manifest.interrupted = False
+        store.save(manifest)
+        assert not store.load("r1").interrupted
 
     def test_generated_run_ids_sortable(self):
         run_id = RunStore.generate_run_id()

@@ -1,39 +1,36 @@
-"""Seeded corruption suite: the durable store under disk damage.
+"""Seeded corruption suite: the object store under disk damage.
 
-The tentpole contract of the journaled run store: for every way the
-bytes under ``runs/<run-id>/`` can be damaged — torn manifest,
-bit-flipped manifest, missing manifest with an intact journal, the
-result-without-manifest-record crash window, ENOSPC mid-campaign —
-``repro-doctor --repair`` followed by ``--resume`` converges to a
-manifest byte-identical (modulo run identity and timing, the chaos
-suite's convention) to an uninterrupted serial run.  Plus: the
-every-byte-offset torn-write property test, the manifest migration
-chain pinned at every historical version, and the ``io.*`` fault
-sites' observable behaviour.
+The contract of the run store: every stored thing is an object that
+carries its own checksum, a corrupt object reads as missing, and a
+missing record is re-run.  So for every way the bytes under
+``runs/<run-id>/`` can be damaged — torn, bit-flipped or deleted
+``manifest.json`` report, a record whose text changed but still
+parses, a store write that fails or tears mid-campaign — ``--resume``
+alone converges to a manifest byte-identical (modulo run identity and
+timing, the chaos suite's convention) to an uninterrupted serial run.
+Only ``plan.json`` cannot be recomputed: damaging it is a classified
+``StoreCorruptionError``.  Plus: the every-byte-offset truncation
+property on a record and on the plan, and the ``io.*`` fault sites'
+observable behaviour.
 """
 
 import json
 
 import pytest
 
+from repro.exp.cli import main as experiments_main
 from repro.resilience.campaign import CampaignConfig
-from repro.resilience.checkpoint import (
-    MANIFEST_VERSION,
-    ExperimentRecord,
-    RunManifest,
-    RunStore,
-    atomic_write_json,
-    migrate_payload,
-)
+from repro.resilience.checkpoint import ExperimentRecord, RunStore
 from repro.resilience.doctor import main as doctor_main
 from repro.resilience.errors import (
     CheckpointError,
     ConfigError,
     FaultInjected,
+    ReproError,
     StoreCorruptionError,
+    classify_error,
 )
 from repro.resilience.faults import FAULTS
-from repro.resilience.journal import read_journal
 from tests.resilience.test_chaos import manifest_payload, ok_runner, run
 
 IDS = ["e0", "e1", "e2", "e3", "e4", "e5"]
@@ -64,17 +61,23 @@ def arming_runner(arm_at, site):
     return runner
 
 
-def repair_then_resume(tmp_path, run_id):
-    assert doctor_main(["--runs-dir", str(tmp_path), run_id, "--repair"]) == 0
-    code, _, _ = run(serial_config(tmp_path, None, resume=run_id))
-    assert code == 0
+def resume(tmp_path, run_id, runner=ok_runner):
+    code, out, err = run(serial_config(tmp_path, None, resume=run_id), runner)
+    assert code == 0, err
+    return out, err
+
+
+def flip_middle_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
 
 
 class TestSeededCorruptionConvergence:
-    """Each scenario: damage, ``--repair``, ``--resume``, byte-identity."""
+    """Each scenario: damage, ``--resume`` alone, byte-identity."""
 
     def assert_converges(self, tmp_path, run_id="hurt"):
-        repair_then_resume(tmp_path, run_id)
+        resume(tmp_path, run_id)
         assert manifest_payload(tmp_path, run_id) == manifest_payload(
             tmp_path, "base"
         )
@@ -89,32 +92,34 @@ class TestSeededCorruptionConvergence:
     def test_bit_flipped_manifest(self, tmp_path):
         completed_run(tmp_path, "base")
         store = completed_run(tmp_path, "hurt")
-        data = bytearray(store.manifest_path("hurt").read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        store.manifest_path("hurt").write_bytes(bytes(data))
+        flip_middle_byte(store.manifest_path("hurt"))
         self.assert_converges(tmp_path)
 
-    def test_missing_manifest_intact_journal(self, tmp_path):
+    def test_missing_manifest(self, tmp_path):
         completed_run(tmp_path, "base")
         store = completed_run(tmp_path, "hurt")
         store.manifest_path("hurt").unlink()
         self.assert_converges(tmp_path)
 
-    def test_result_without_manifest_record_window(self, tmp_path):
-        # A checkpoint.write fault during e2's writes crashes the
-        # campaign after e2 was journaled but before the manifest knew:
-        # the exact record()-before-save() window.
+    def test_result_without_manifest_record_window(self, tmp_path, monkeypatch):
+        # Crash between e2's record object and the report flush after
+        # it: the record is published, the report never learns of it.
         completed_run(tmp_path, "base")
-        with pytest.raises(FaultInjected):
-            run(
-                serial_config(tmp_path, "hurt"),
-                runner=arming_runner("e2", "checkpoint.write"),
-            )
         store = RunStore(tmp_path)
-        journaled = read_journal(store.journal_path("hurt")).records
+        real_save = RunStore.save
+
+        def save(self, manifest):
+            if "e2" in manifest.records:
+                raise FaultInjected("crash before the report flush")
+            real_save(self, manifest)
+
+        monkeypatch.setattr(RunStore, "save", save)
+        with pytest.raises(FaultInjected):
+            run(serial_config(tmp_path, "hurt"))
+        monkeypatch.undo()
         manifested = json.loads(store.manifest_path("hurt").read_text())
-        assert "e2" in journaled
         assert "e2" not in manifested["records"]
+        assert store.load("hurt").records["e2"].status == "passed"
         self.assert_converges(tmp_path)
 
     def test_enospc_mid_campaign(self, tmp_path):
@@ -128,14 +133,108 @@ class TestSeededCorruptionConvergence:
         assert "e2" not in manifested["records"]  # its writes never landed
         self.assert_converges(tmp_path)
 
+    def test_edited_record_that_still_parses(self, tmp_path):
+        completed_run(tmp_path, "base")
+        store = completed_run(tmp_path, "hurt")
+        path = store.result_path("hurt", "e3")
+        payload = json.loads(path.read_text())
+        payload["rendered"] = payload["rendered"].replace("Table", "Tabel", 1)
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+        assert doctor_main(["--runs-dir", str(tmp_path), "hurt"]) == 0
+        findings = [
+            f for f in audit(tmp_path, "hurt") if f.code == "D019"
+        ]
+        assert [f.paths for f in findings] == [[path]]
+
+        reran = []
+
+        def counting_runner(experiment_id, quick=False):
+            reran.append(experiment_id)
+            return ok_runner(experiment_id, quick=quick)
+
+        _, err = resume(tmp_path, "hurt", counting_runner)
+        assert reran == ["e3"]
+        assert "e3 are corrupt" in err
+        assert manifest_payload(tmp_path, "hurt") == manifest_payload(
+            tmp_path, "base"
+        )
+        assert audit(tmp_path, "hurt") == []
+
+
+def audit(tmp_path, run_id):
+    from repro.resilience.doctor import audit_run
+
+    return audit_run(RunStore(tmp_path), run_id)
+
 
 def store_path(tmp_path, run_id):
     return RunStore(tmp_path).manifest_path(run_id)
 
 
+@pytest.mark.parametrize(
+    "site, outcome",
+    [
+        ("checkpoint.write", "fault"),
+        ("io.enospc", "checkpoint"),
+        ("io.fsync-fail", "checkpoint"),
+        ("io.torn-write", "checkpoint"),
+        ("io.corrupt", 0),  # silent: the writer believes it succeeded
+    ],
+)
+def test_store_fault_mid_campaign_converges_by_resume_alone(
+    tmp_path, site, outcome
+):
+    completed_run(tmp_path, "base")
+    try:
+        ended, _, _ = run(
+            serial_config(tmp_path, "hurt"), runner=arming_runner("e2", site)
+        )
+    except ReproError as exc:
+        ended = classify_error(exc)
+    assert ended == outcome
+    resume(tmp_path, "hurt")
+    assert manifest_payload(tmp_path, "hurt") == manifest_payload(
+        tmp_path, "base"
+    )
+
+
+class TestDamagedPlan:
+    """The plan is the one object nothing can recompute."""
+
+    @pytest.mark.parametrize("damage", ["torn", "flipped"])
+    def test_damaged_plan_is_classified_exit_2(self, tmp_path, capsys, damage):
+        store = completed_run(tmp_path, "hurt")
+        path = store.plan_path("hurt")
+        if damage == "torn":
+            path.write_bytes(path.read_bytes()[:40])
+        else:
+            flip_middle_byte(path)
+        with pytest.raises(StoreCorruptionError) as excinfo:
+            store.load("hurt")
+        assert classify_error(excinfo.value) == "corruption"
+        code = experiments_main(
+            ["--runs-dir", str(tmp_path), "--resume", "hurt"]
+        )
+        assert code == 2
+        assert "corrupt run store" in capsys.readouterr().err
+
+    def test_run_without_plan_asks_for_a_new_run(self, tmp_path):
+        store = RunStore(tmp_path)
+        run_dir = store.run_dir("old")
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(
+            json.dumps({"version": 2, "run_id": "old", "ids": ["a"]})
+        )
+        with pytest.raises(CheckpointError, match="start a new run") as excinfo:
+            store.load("old")
+        assert not isinstance(excinfo.value, StoreCorruptionError)
+
+
 class TestTornWriteProperty:
-    """Truncate the manifest at *every* byte offset: load-or-salvage
-    never raises anything outside the classified store errors."""
+    """Truncate an object at *every* byte offset: a record reads as
+    pending, the plan as a classified corruption, and nothing else
+    escapes."""
 
     def make_run(self, tmp_path):
         store = RunStore(tmp_path)
@@ -144,88 +243,32 @@ class TestTornWriteProperty:
             manifest,
             ExperimentRecord(experiment_id="a", status="passed", rendered="ok"),
         )
-        return store, store.manifest_path("r1").read_bytes()
+        return store
 
-    def test_every_truncation_salvages_with_journal(self, tmp_path):
-        store, data = self.make_run(tmp_path)
+    def test_every_truncation_of_a_record_reads_as_pending(self, tmp_path):
+        store = self.make_run(tmp_path)
+        path = store.result_path("r1", "a")
+        data = path.read_bytes()
         for offset in range(len(data)):
-            store.manifest_path("r1").write_bytes(data[:offset])
-            loaded = store.load("r1")  # must never raise: journal survives
+            path.write_bytes(data[:offset])
+            loaded = store.load("r1")  # never raises: the plan is intact
             assert loaded.ids == ["a", "b"]
-            assert loaded.records["a"].status == "passed"
+            if "a" in loaded.records:  # only a complete object verifies
+                assert data[:offset].rstrip() == data.rstrip()
+            else:
+                assert loaded.remaining() == ["a", "b"]
 
-    def test_every_truncation_classified_without_journal(self, tmp_path):
-        store, data = self.make_run(tmp_path)
-        store.journal_path("r1").unlink()
-        for experiment_id in ("a",):
-            store.result_path("r1", experiment_id).unlink()
+    def test_every_truncation_of_the_plan_is_classified(self, tmp_path):
+        store = self.make_run(tmp_path)
+        path = store.plan_path("r1")
+        data = path.read_bytes()
         for offset in range(len(data)):
-            store.manifest_path("r1").write_bytes(data[:offset])
+            path.write_bytes(data[:offset])
             try:
                 store.load("r1")
-            except CheckpointError:
-                continue  # classified: corrupt (or unreadable) store
-            # Only a truncation that leaves valid JSON may succeed.
-            json.loads(data[:offset].decode("utf-8"))
-
-
-class TestMigrationChain:
-    """Every historical manifest schema version is pinned and loadable."""
-
-    V0 = {  # unversioned prototype: records was a list
-        "run_id": "old",
-        "ids": ["a", "b"],
-        "records": [
-            {"experiment_id": "a", "status": "passed", "rendered": "ok"}
-        ],
-    }
-    V1 = {  # v1: records keyed by id; no journal field yet
-        "version": 1,
-        "run_id": "old",
-        "ids": ["a", "b"],
-        "quick": False,
-        "interrupted": False,
-        "created_at": "2026-01-01T00:00:00",
-        "records": {
-            "a": {"experiment_id": "a", "status": "passed", "rendered": "ok"}
-        },
-    }
-
-    @pytest.mark.parametrize("payload", [V0, V1], ids=["v0", "v1"])
-    def test_historical_versions_migrate(self, payload):
-        migrated, original = migrate_payload(dict(payload))
-        assert original == payload.get("version", 0)
-        assert migrated["version"] == MANIFEST_VERSION
-        assert migrated["journal"] == "records.jsonl"
-        manifest = RunManifest.from_dict(migrated)
-        assert manifest.records["a"].status == "passed"
-        assert manifest.remaining() == ["b"]
-
-    def test_old_run_loads_and_heals_forward(self, tmp_path):
-        store = RunStore(tmp_path)
-        run_dir = store.run_dir("old")
-        run_dir.mkdir(parents=True)
-        (run_dir / "manifest.json").write_text(json.dumps(self.V1))
-        loaded = store.load("old")  # pre-journal run: no salvage needed
-        assert not loaded.salvaged
-        store.save(loaded)  # first write upgrades schema and starts a journal
-        payload = json.loads(store.manifest_path("old").read_text())
-        assert payload["version"] == MANIFEST_VERSION
-        replay = read_journal(store.journal_path("old"))
-        assert replay.plan["run_id"] == "old"
-
-    def test_newer_version_refused_with_version_message(self, tmp_path):
-        store = RunStore(tmp_path)
-        store.new_run(["a"], run_id="r1")
-        payload = json.loads(store.manifest_path("r1").read_text())
-        payload["version"] = MANIFEST_VERSION + 1
-        atomic_write_json(store.manifest_path("r1"), payload)
-        with pytest.raises(CheckpointError, match="version"):
-            store.load("r1")
-
-    def test_garbage_version_is_corruption(self, tmp_path):
-        with pytest.raises(StoreCorruptionError, match="version"):
-            migrate_payload({"version": "fish", "run_id": "x", "ids": []})
+            except StoreCorruptionError:
+                continue
+            assert data[:offset].rstrip() == data.rstrip()
 
 
 class TestIoFaultSites:
@@ -248,30 +291,33 @@ class TestIoFaultSites:
             store.save(manifest)
         assert store.manifest_path("r1").read_bytes() == before
 
-    def test_torn_write_leaves_salvageable_prefix(self, tmp_path):
+    def test_torn_write_reads_as_missing(self, tmp_path):
         store = RunStore(tmp_path)
         manifest = store.new_run(["a"], run_id="r1")
-        manifest.records["a"] = ExperimentRecord(
-            experiment_id="a", status="passed", rendered="ok"
-        )
-        FAULTS.arm("io.torn-write", times=2)  # journal append + manifest
+        FAULTS.arm("io.torn-write")
         with pytest.raises(CheckpointError, match="torn"):
-            store.record(manifest, manifest.records["a"])
+            store.record(
+                manifest,
+                ExperimentRecord(
+                    experiment_id="a", status="passed", rendered="ok"
+                ),
+            )
+        assert store.result_path("r1", "a").exists()  # the torn prefix
         loaded = store.load("r1")
-        assert loaded.salvaged or loaded.records == {}
+        assert loaded.records == {}
+        assert loaded.corrupt == ["a"]
 
     def test_silent_corruption_caught_on_next_load(self, tmp_path):
         store = RunStore(tmp_path)
         manifest = store.new_run(["a"], run_id="r1")
-        store.record(
+        FAULTS.arm("io.corrupt")
+        store.record(  # "succeeds": the writer never sees the flip
             manifest,
             ExperimentRecord(experiment_id="a", status="passed", rendered="ok"),
         )
-        FAULTS.arm("io.corrupt")
-        store.save(manifest)  # "succeeds": the writer never sees the flip
         loaded = store.load("r1")
-        assert loaded.salvaged  # the journal exposed the flip
-        assert loaded.records["a"].status == "passed"
+        assert loaded.corrupt == ["a"]  # the checksum exposed the flip
+        assert loaded.remaining() == ["a"]
 
     def test_unknown_io_site_lists_valid_sites(self):
         with pytest.raises(ConfigError, match="io.enospc"):
@@ -292,12 +338,13 @@ class TestIoFaultSites:
 
 
 class TestTmpSweep:
-    def test_stray_tmp_removed_on_load(self, tmp_path):
-        store = RunStore(tmp_path)
-        store.new_run(["a"], run_id="r1")
+    def test_stray_tmp_removed_on_resume(self, tmp_path):
+        store = completed_run(tmp_path, "r1")
         stray = store.run_dir("r1") / "manifest.json.tmp"
         stray.write_text("half-written")
-        store.load("r1")
+        store.load("r1")  # a reader never sweeps: a writer may be live
+        assert stray.exists()
+        resume(tmp_path, "r1")
         assert not stray.exists()
 
     def test_stray_tmp_removed_on_new_run(self, tmp_path):
@@ -335,10 +382,10 @@ class TestSupervisorHeartbeatDir:
 
 
 class TestTransientReadClassification:
-    def test_unreadable_manifest_is_transient_not_corrupt(self, tmp_path):
+    def test_unreadable_plan_is_transient_not_corrupt(self, tmp_path):
         store = RunStore(tmp_path)
         store.new_run(["a"], run_id="r1")
-        path = store.manifest_path("r1")
+        path = store.plan_path("r1")
         # Make the read itself fail (IsADirectoryError is an OSError);
         # chmod tricks don't work when the tests run as root.
         path.unlink()

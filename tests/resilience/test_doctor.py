@@ -1,22 +1,19 @@
-"""``repro-doctor``: auditing and repairing the run store."""
+"""``repro-doctor``: verifying, deleting and sweeping the run store."""
 
 import json
 
-import pytest
-
-from repro.resilience.checkpoint import RunStore, atomic_write_json
+from repro.resilience.checkpoint import ExperimentRecord, RunStore
 from repro.resilience.doctor import (
     CODES,
     audit_run,
     discover_runs,
     main,
-    repair_run,
+    repair,
 )
+
 
 def make_store(tmp_path, ids=("a", "b"), run_id="r1", records=("a",)):
     """A run with ``records`` recorded out of the planned ``ids``."""
-    from repro.resilience.checkpoint import ExperimentRecord
-
     store = RunStore(tmp_path)
     manifest = store.new_run(list(ids), run_id=run_id)
     for experiment_id in records:
@@ -33,15 +30,14 @@ def codes(findings):
     return sorted(f.code for f in findings)
 
 
+def tear(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
 class TestAudit:
     def test_clean_run_has_no_findings(self, tmp_path):
         store, _ = make_store(tmp_path)
         assert audit_run(store, "r1") == []
-
-    def test_missing_manifest_with_journal(self, tmp_path):
-        store, _ = make_store(tmp_path)
-        store.manifest_path("r1").unlink()
-        assert "D001" in codes(audit_run(store, "r1"))
 
     def test_nothing_survives(self, tmp_path):
         store = RunStore(tmp_path)
@@ -50,78 +46,42 @@ class TestAudit:
         assert codes(findings) == ["D015"]
         assert not findings[0].repairable
 
-    def test_corrupt_manifest(self, tmp_path):
+    def test_corrupt_plan_is_d015_and_kept(self, tmp_path):
         store, _ = make_store(tmp_path)
-        store.manifest_path("r1").write_text("{ torn")
-        assert "D003" in codes(audit_run(store, "r1"))
-
-    def test_silent_corruption_detected_by_flush_digest(self, tmp_path):
-        store, _ = make_store(tmp_path)
-        payload = json.loads(store.manifest_path("r1").read_text())
-        payload["interrupted"] = True  # valid JSON, silently different
-        store.manifest_path("r1").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        assert "D004" in codes(audit_run(store, "r1"))
-
-    def test_manifest_behind_journal(self, tmp_path):
-        store, _ = make_store(tmp_path)
-        payload = json.loads(store.manifest_path("r1").read_text())
-        del payload["records"]["a"]
-        store.manifest_path("r1").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        tear(store.plan_path("r1"))
         findings = audit_run(store, "r1")
-        assert "D005" in codes(findings)
+        assert codes(findings) == ["D015"]
+        assert findings[0].severity == "error"
+        assert repair(findings) == []
+        assert store.plan_path("r1").exists()
 
-    def test_version_drift_is_migratable_warning(self, tmp_path):
+    def test_corrupt_record_is_d019(self, tmp_path):
         store, _ = make_store(tmp_path)
-        payload = json.loads(store.manifest_path("r1").read_text())
-        payload["version"] = 1
-        del payload["journal"]
-        atomic_write_json(store.manifest_path("r1"), payload)
-        drift = [f for f in audit_run(store, "r1") if f.code == "D006"]
-        assert drift and drift[0].severity == "warning"
+        tear(store.result_path("r1", "a"))
+        findings = audit_run(store, "r1")
+        assert codes(findings) == ["D019"]
+        assert findings[0].severity == "warning"
+        assert findings[0].paths == [store.result_path("r1", "a")]
 
-    def test_newer_version_not_repairable(self, tmp_path):
+    def test_unreadable_object_is_d002(self, tmp_path):
         store, _ = make_store(tmp_path)
-        payload = json.loads(store.manifest_path("r1").read_text())
-        payload["version"] = 99
-        atomic_write_json(store.manifest_path("r1"), payload)
-        newer = [f for f in audit_run(store, "r1") if f.code == "D007"]
-        assert newer and not newer[0].repairable
+        path = store.result_path("r1", "a")
+        path.unlink()
+        path.mkdir()  # reading a directory is an OSError, not corruption
+        findings = audit_run(store, "r1")
+        assert codes(findings) == ["D002"]
+        assert not findings[0].repairable
 
-    def test_missing_journal(self, tmp_path):
+    def test_manifest_report_is_not_audited(self, tmp_path):
+        # --resume rewrites the report from the objects.
         store, _ = make_store(tmp_path)
-        store.journal_path("r1").unlink()
-        assert "D008" in codes(audit_run(store, "r1"))
-
-    def test_corrupt_journal_line_and_torn_tail(self, tmp_path):
-        store, _ = make_store(tmp_path)
-        with open(store.journal_path("r1"), "a") as handle:
-            handle.write("garbage line\n")
-            handle.write('{"kind": "rec')  # torn append
-        found = codes(audit_run(store, "r1"))
-        assert "D009" in found and "D010" in found
+        tear(store.manifest_path("r1"))
+        assert audit_run(store, "r1") == []
 
     def test_orphaned_tmp(self, tmp_path):
         store, _ = make_store(tmp_path)
         (store.run_dir("r1") / "manifest.json.tmp").write_text("{}")
         assert "D011" in codes(audit_run(store, "r1"))
-
-    def test_result_without_record(self, tmp_path):
-        store, manifest = make_store(tmp_path, records=("a",))
-        atomic_write_json(
-            store.result_path("r1", "b"),
-            {"experiment_id": "b", "status": "passed"},
-        )
-        planned = [f for f in audit_run(store, "r1") if f.code == "D012"]
-        assert planned and planned[0].repairable
-
-    def test_record_without_result_file(self, tmp_path):
-        store, _ = make_store(tmp_path)
-        store.result_path("r1", "a").unlink()
-        assert "D013" in codes(audit_run(store, "r1"))
 
     def test_stale_heartbeats(self, tmp_path):
         store, _ = make_store(tmp_path)
@@ -146,64 +106,31 @@ class TestDiscovery:
 
 
 class TestRepair:
-    def scenario_states(self, store):
-        """Audit must be clean and the store loadable after repair."""
-        actions = repair_run(store, "r1")
-        assert actions
-        assert audit_run(store, "r1") == []
-        loaded = store.load("r1")
-        assert not loaded.salvaged
-        return loaded
-
-    def test_repairs_torn_manifest(self, tmp_path):
-        store, _ = make_store(tmp_path)
-        data = store.manifest_path("r1").read_bytes()
-        store.manifest_path("r1").write_bytes(data[: len(data) // 2])
-        loaded = self.scenario_states(store)
-        assert loaded.records["a"].status == "passed"
-
-    def test_repairs_missing_manifest(self, tmp_path):
-        store, _ = make_store(tmp_path)
-        store.manifest_path("r1").unlink()
-        loaded = self.scenario_states(store)
-        assert loaded.ids == ["a", "b"]
-
     def test_repairs_debris(self, tmp_path):
         store, _ = make_store(tmp_path)
         (store.run_dir("r1") / "result.json.tmp").write_text("{}")
         hb = store.run_dir("r1") / ".hb"
         hb.mkdir()
         (hb / "w1.hb").write_text("1")
-        self.scenario_states(store)
+        assert repair(audit_run(store, "r1"))
+        assert audit_run(store, "r1") == []
         assert not list(store.run_dir("r1").glob("*.tmp"))
         assert not hb.exists()
 
-    def test_repair_regenerates_missing_result_file(self, tmp_path):
-        store, _ = make_store(tmp_path)
-        store.result_path("r1", "a").unlink()
-        self.scenario_states(store)
-        payload = json.loads(store.result_path("r1", "a").read_text())
-        assert payload["status"] == "passed"
-
-    def test_repair_restores_journaled_record_lost_from_manifest(
+    def test_repair_deletes_corrupt_record_so_it_reads_as_pending(
         self, tmp_path
     ):
         store, _ = make_store(tmp_path)
-        payload = json.loads(store.manifest_path("r1").read_text())
-        del payload["records"]["a"]
-        store.manifest_path("r1").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        loaded = self.scenario_states(store)
-        assert loaded.records["a"].status == "passed"
+        tear(store.result_path("r1", "a"))
+        actions = repair(audit_run(store, "r1"))
+        assert actions == ["D019: deleted a.json"]
+        assert not store.result_path("r1", "a").exists()
+        assert audit_run(store, "r1") == []
+        assert store.load("r1").remaining() == ["a", "b"]
 
-    def test_unrepairable_run_raises(self, tmp_path):
-        from repro.resilience.errors import StoreCorruptionError
-
-        store = RunStore(tmp_path)
+    def test_unrepairable_run_stays_an_error(self, tmp_path):
         (tmp_path / "r1").mkdir()
-        with pytest.raises(StoreCorruptionError):
-            repair_run(store, "r1")
+        assert main(["--runs-dir", str(tmp_path), "r1", "--repair"]) == 1
 
 
 class TestCli:
@@ -212,6 +139,7 @@ class TestCli:
         out = capsys.readouterr().out
         for code in CODES:
             assert code in out
+        assert len(out.splitlines()) == len(CODES) <= 5
 
     def test_no_runs_is_healthy(self, tmp_path, capsys):
         assert main(["--runs-dir", str(tmp_path)]) == 0
@@ -219,14 +147,16 @@ class TestCli:
 
     def test_error_findings_exit_1_without_repair(self, tmp_path):
         store, _ = make_store(tmp_path)
-        store.manifest_path("r1").write_text("{ torn")
+        tear(store.plan_path("r1"))
         assert main(["--runs-dir", str(tmp_path)]) == 1
 
-    def test_repair_exits_0_and_heals(self, tmp_path):
+    def test_repair_exits_0_and_heals(self, tmp_path, capsys):
         store, _ = make_store(tmp_path)
-        store.manifest_path("r1").write_text("{ torn")
+        tear(store.result_path("r1", "a"))
         assert main(["--runs-dir", str(tmp_path), "--repair"]) == 0
+        assert "deleted a.json" in capsys.readouterr().out
         assert main(["--runs-dir", str(tmp_path)]) == 0
+        assert "0 error(s), 0 warning(s)" in capsys.readouterr().out
 
     def test_json_format(self, tmp_path, capsys):
         store, _ = make_store(tmp_path)
@@ -234,6 +164,9 @@ class TestCli:
         assert main(["--runs-dir", str(tmp_path), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"][0]["code"] == "D011"
+        assert payload["findings"][0]["paths"] == [
+            str(store.run_dir("r1") / "junk.tmp")
+        ]
         assert payload["healthy"] is False
 
     def test_unknown_run_id_reports_nothing_survives(self, tmp_path):
@@ -247,7 +180,7 @@ class TestEventBus:
         from repro.obs.telemetry import Telemetry
 
         store, _ = make_store(tmp_path)
-        store.manifest_path("r1").write_text("{ torn")
+        tear(store.plan_path("r1"))
         obs = Telemetry()
         previous = set_telemetry(obs)
         try:
@@ -257,34 +190,4 @@ class TestEventBus:
         findings = [
             e for e in obs.bus.events if e["name"] == "doctor.finding"
         ]
-        assert findings and findings[0]["args"]["code"] == "D003"
-
-
-class TestJournalOnlyRecovery:
-    def test_journal_alone_rebuilds_the_run(self, tmp_path):
-        store, _ = make_store(tmp_path)
-        store.manifest_path("r1").unlink()
-        store.result_path("r1", "a").unlink()
-        repair_run(store, "r1")
-        loaded = store.load("r1")
-        assert loaded.ids == ["a", "b"]
-        assert loaded.records["a"].status == "passed"
-
-    def test_results_alone_rebuild_outcomes(self, tmp_path):
-        store, _ = make_store(tmp_path)
-        store.manifest_path("r1").unlink()
-        store.journal_path("r1").unlink()
-        repair_run(store, "r1")
-        loaded = store.load("r1")
-        # The plan was lost with the journal; outcomes survive.
-        assert loaded.records["a"].status == "passed"
-
-    def test_plan_entry_survives_torn_record_append(self, tmp_path):
-        store, _ = make_store(tmp_path)
-        tail = '{"kind": "record", "payload": {"experiment'
-        with open(store.journal_path("r1"), "a") as handle:
-            handle.write(tail)
-        append = audit_run(store, "r1")
-        assert "D010" in codes(append)
-        repair_run(store, "r1")
-        assert audit_run(store, "r1") == []
+        assert findings and findings[0]["args"]["code"] == "D015"

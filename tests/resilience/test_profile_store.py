@@ -1,9 +1,8 @@
-"""Profile artifacts through the durable run store, journal, and doctor.
+"""Profile artifacts through the run store's objects and the doctor.
 
-Profiles ride the same durability discipline as result files: written
-atomically, journaled by digest (``artifact`` entries), audited by
-repro-doctor (D016 missing/corrupt, D017 unjournaled), and restored or
-re-journaled by ``--repair``.  The campaign driver writes one
+Profiles are objects like records: written whole and sealed with their
+own checksum, verified by repro-doctor (D019 when corrupt) and deleted
+by ``--repair``.  The campaign driver writes one
 ``<experiment>.profile.json`` per experiment when ``--profile`` is on,
 identically from the serial and ``--jobs`` paths.
 """
@@ -13,9 +12,8 @@ import json
 
 from repro.exp.base import ExperimentResult
 from repro.resilience.campaign import EXIT_OK, CampaignConfig, run_campaign
-from repro.resilience.checkpoint import RunStore
-from repro.resilience.doctor import audit_run, repair_run
-from repro.resilience.journal import file_checksum, read_journal
+from repro.resilience.checkpoint import RunStore, read_object
+from repro.resilience.doctor import audit_run, repair
 from repro.util.tables import TextTable
 
 
@@ -51,20 +49,18 @@ class TestArtifactPersistence:
         assert payload["experiment_id"] == "a"
         assert payload["schema"] == 1
 
-    def test_profile_artifact_journaled_by_digest(self, tmp_path):
-        store = profiled_run(tmp_path)
-        replay = read_journal(store.journal_path("r1"))
-        path = tmp_path / "r1" / "a.profile.json"
-        assert replay.artifacts == {
-            "a.profile": file_checksum(path.read_bytes())
-        }
+    def test_profile_artifact_sealed_by_checksum(self, tmp_path):
+        profiled_run(tmp_path)
+        payload = read_object(tmp_path / "r1" / "a.profile.json")
+        assert payload["experiment_id"] == "a"
+        assert "sha256" not in payload
 
     def test_profile_is_not_a_result_file(self, tmp_path):
-        # The `<id>.profile` stem never collides with result payloads,
-        # so resume and salvage keep treating results as the source of
-        # truth and profiles as companions.
+        # The `<id>.profile` stem never collides with a record, so
+        # resume keeps treating records as the source of truth and
+        # profiles as companions.
         store = profiled_run(tmp_path)
-        assert set(store.result_files("r1")) == {"a"}
+        assert set(store.load("r1").records) == {"a"}
 
     def test_no_profile_flag_no_artifact(self, tmp_path):
         config = CampaignConfig(
@@ -80,36 +76,17 @@ class TestDoctor:
         store = profiled_run(tmp_path)
         assert audit_run(store, "r1") == []
 
-    def test_missing_artifact_is_d016_and_repairable(self, tmp_path):
-        store = profiled_run(tmp_path)
-        (tmp_path / "r1" / "a.profile.json").unlink()
-        findings = audit_run(store, "r1")
-        assert [f.code for f in findings] == ["D016"]
-        assert findings[0].severity == "warning"
-        repair_run(store, "r1")
-        assert audit_run(store, "r1") == []
-        # Repair dropped the dangling journal line rather than invent
-        # a file it cannot reconstruct.
-        assert read_journal(store.journal_path("r1")).artifacts == {}
-
-    def test_corrupt_artifact_is_d016(self, tmp_path):
+    def test_corrupt_artifact_is_d019(self, tmp_path):
         store = profiled_run(tmp_path)
         path = tmp_path / "r1" / "a.profile.json"
-        path.write_text(path.read_text() + " ")  # digest mismatch
+        payload = json.loads(path.read_text())
+        payload["experiment_id"] = "b"  # still parses, no longer matches
+        path.write_text(json.dumps(payload))
         findings = audit_run(store, "r1")
-        assert [f.code for f in findings] == ["D016"]
-
-    def test_unjournaled_artifact_is_d017_info_and_repairable(self, tmp_path):
-        store = profiled_run(tmp_path)
-        extra = tmp_path / "r1" / "extra.profile.json"
-        extra.write_text(json.dumps({"schema": 1, "entries": []}) + "\n")
-        findings = audit_run(store, "r1")
-        assert [f.code for f in findings] == ["D017"]
-        assert findings[0].severity == "info"
-        repair_run(store, "r1")
+        assert [f.code for f in findings] == ["D019"]
+        repair(findings)
+        assert not path.exists()
         assert audit_run(store, "r1") == []
-        journaled = read_journal(store.journal_path("r1")).artifacts
-        assert set(journaled) == {"a.profile", "extra.profile"}
 
 
 class TestSerialParallelIdentity:

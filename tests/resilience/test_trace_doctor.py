@@ -1,15 +1,13 @@
-"""repro-doctor on the content-addressed trace store (D018-D021)."""
+"""repro-doctor on the content-addressed trace store (D011, D019)."""
 
 import json
-
-import pytest
 
 from repro.machine.presets import r8000
 from repro.resilience.doctor import (
     TRACE_STORE_LABEL,
     audit_trace_store,
     main,
-    repair_trace_store,
+    repair,
 )
 from repro.sim.engine import Simulator
 from repro.trace.store import TraceCapture, TraceStore, trace_key_for
@@ -54,76 +52,57 @@ class TestAudit:
     def test_absent_store_is_clean(self, tmp_path):
         assert audit_trace_store(tmp_path / "nowhere") == []
 
-    def test_missing_object_is_d018(self, tmp_path):
-        root = tmp_path / "traces"
-        store, digests = populate(root)
-        store.object_path(digests[0]).unlink()
-        findings = audit_trace_store(root)
-        assert codes(findings) == ["D018"]
-        assert findings[0].run_id == TRACE_STORE_LABEL
-        assert findings[0].severity == "warning"
-
     def test_corrupt_object_is_d019(self, tmp_path):
         root = tmp_path / "traces"
         store, digests = populate(root)
-        path = store.object_path(digests[0])
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF
-        path.write_bytes(bytes(data))
-        assert codes(audit_trace_store(root)) == ["D019"]
-
-    def test_unindexed_object_is_d020(self, tmp_path):
-        root = tmp_path / "traces"
-        populate(root)
-        # Simulate a crash between the object rename and the index
-        # append: drop the whole index.
-        (root / "index.jsonl").unlink()
+        flip_last_byte(store.object_path(digests[0]))
         findings = audit_trace_store(root)
-        assert codes(findings) == ["D020", "D020"]
-        assert all(f.severity == "info" for f in findings)
+        assert codes(findings) == ["D019"]
+        assert findings[0].run_id == TRACE_STORE_LABEL
+        assert findings[0].severity == "warning"
 
-    def test_garbage_index_line_is_d021(self, tmp_path):
+    def test_stray_tmp_is_d011(self, tmp_path):
         root = tmp_path / "traces"
-        populate(root)
-        with (root / "index.jsonl").open("a") as fh:
-            fh.write('{"not": "a checksummed line"}\n')
+        store, digests = populate(root)
+        stray = store.object_path(digests[0]).with_name(f"{digests[0]}.rtr.tmp")
+        stray.write_bytes(b"partial")
         findings = audit_trace_store(root)
-        assert "D021" in codes(findings)
+        assert codes(findings) == ["D011"]
+        assert findings[0].paths == [stray]
+
+
+def flip_last_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0xFF
+    path.write_bytes(bytes(data))
 
 
 class TestRepair:
     def test_repair_restores_clean_audit(self, tmp_path):
         root = tmp_path / "traces"
         store, digests = populate(root)
-        # Inflict all four damage classes at once.
-        store.object_path(digests[0]).unlink()  # D018
-        path = store.object_path(digests[1])
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF
-        path.write_bytes(bytes(data))  # D019
-        with (root / "index.jsonl").open("a") as fh:
-            fh.write("garbage\n")  # D021
+        flip_last_byte(store.object_path(digests[1]))  # D019
         (root / "objects" / "zz").mkdir(parents=True, exist_ok=True)
         (root / "objects" / "zz" / "orphan.tmp").write_bytes(b"partial")
-        assert audit_trace_store(root)
+        findings = audit_trace_store(root)
+        assert codes(findings) == ["D011", "D019"]
 
-        actions = repair_trace_store(root)
-        assert any("removed corrupt trace object" in a for a in actions)
-        assert any("orphaned tmp" in a for a in actions)
-        assert any("rebuilt trace index" in a for a in actions)
+        actions = repair(findings)
+        assert f"D019: deleted {digests[1]}.rtr" in actions
+        assert "D011: deleted orphan.tmp" in actions
         assert audit_trace_store(root) == []
+        assert [p.stem for p in store.object_paths()] == [digests[0]]
 
     def test_repair_keeps_valid_objects_replayable(self, tmp_path):
         root = tmp_path / "traces"
         machine = r8000(64)
         store, digests = populate(root)
-        (root / "index.jsonl").unlink()
-        repair_trace_store(root)
+        flip_last_byte(store.object_path(digests[1]))
+        repair(audit_trace_store(root))
         fresh = TraceStore(root)
         key = trace_key_for(tiny_program, None, machine, 4096)
         stored = fresh.get(key)
         assert stored is not None
-        assert fresh.indexed().keys() == set(digests)
         replayed = Simulator(machine, verify=False).replay(stored)
         live = Simulator(machine, verify=False).run(tiny_program)
         assert replayed.stats == live.stats
@@ -133,40 +112,30 @@ class TestDoctorCli:
     def test_cli_audits_and_repairs(self, tmp_path, capsys):
         root = tmp_path / "traces"
         store, digests = populate(root)
-        store.object_path(digests[0]).unlink()
+        flip_last_byte(store.object_path(digests[0]))
+        args = ["--runs-dir", str(tmp_path / "runs"), "--trace-store", str(root)]
 
-        code = main(
-            ["--runs-dir", str(tmp_path / "runs"), "--trace-store", str(root)]
-        )
+        code = main(args)
         out = capsys.readouterr().out
         assert code == 0  # warnings only, no errors
-        assert "D018" in out
+        assert "D019" in out
         assert "trace store" in out
 
-        code = main(
-            [
-                "--runs-dir",
-                str(tmp_path / "runs"),
-                "--trace-store",
-                str(root),
-                "--repair",
-            ]
-        )
+        code = main([*args, "--repair"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "rebuilt trace index" in out
+        assert f"deleted {digests[0]}.rtr" in out
 
-        code = main(
-            ["--runs-dir", str(tmp_path / "runs"), "--trace-store", str(root)]
-        )
+        code = main(args)
         out = capsys.readouterr().out
         assert code == 0
-        assert "0 error(s), 0 warning(s), 0 note(s)" in out
+        assert "0 error(s), 0 warning(s)" in out
 
     def test_cli_json_format(self, tmp_path, capsys):
         root = tmp_path / "traces"
-        populate(root)
-        (root / "index.jsonl").unlink()
+        store, digests = populate(root)
+        stray = store.object_path(digests[0]).with_name(f"{digests[0]}.rtr.tmp")
+        stray.write_bytes(b"partial")
         code = main(
             [
                 "--runs-dir",
@@ -180,4 +149,14 @@ class TestDoctorCli:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["healthy"] is False
-        assert {f["code"] for f in payload["findings"]} == {"D020"}
+        assert {f["code"] for f in payload["findings"]} == {"D011"}
+
+    def test_cli_repair_sweeps_a_lone_stray_tmp(self, tmp_path):
+        root = tmp_path / "traces"
+        store, digests = populate(root)
+        stray = store.object_path(digests[0]).with_name(f"{digests[0]}.rtr.tmp")
+        stray.write_bytes(b"partial")
+        args = ["--runs-dir", str(tmp_path / "runs"), "--trace-store", str(root)]
+        assert main([*args, "--repair"]) == 0
+        assert not stray.exists()
+        assert audit_trace_store(root) == []

@@ -10,6 +10,7 @@ or tables) and ``payload`` (replay reproduces statistics, not program
 output).
 """
 
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -76,6 +77,23 @@ def store_and_replay(tmp_path, factory, config, machine):
     stored = store.get(key)
     assert stored is not None
     return live, simulator.replay(stored), store, key
+
+
+def long_program(context):
+    context.recorder.record_lines(list(range(1 << 16)))
+    context.recorder.count_instructions(10)
+
+
+def put_at_barrier(root, barrier, results):
+    """Simulate ``long_program`` live, then race its ``put`` against
+    another process doing the same."""
+    machine = r8000(64)
+    capture = TraceCapture()
+    live = Simulator(machine, verify=False).run(long_program, capture=capture)
+    key = trace_key_for(long_program, None, machine, 4096)
+    store = TraceStore(root)
+    barrier.wait()
+    results.put(store.put(key, capture, live, machine, 4096))
 
 
 def sampled_replay(machine, stored):
@@ -210,15 +228,30 @@ class TestIntegrity:
         with pytest.raises(CheckpointError, match="checksum"):
             verify_object(path)
 
-    def test_index_journals_each_store(self, tmp_path):
-        _, _, store, key = store_and_replay(
-            tmp_path, SOR["threaded"], SorConfig.quick(), r8000(64)
-        )
-        indexed = store.indexed()
-        assert key.digest in indexed
-        entry = indexed[key.digest]
-        assert entry["program"] == "sor_threaded"
-        assert entry["total_refs"] > 0
+    def test_two_processes_putting_one_object_both_succeed(self, tmp_path):
+        # --jobs workers share a store, and tables 2 and 3 share matmul
+        # keys: concurrent puts of one object must not collide on one
+        # tmp file.  Each round races two fresh writers at a barrier.
+        context = multiprocessing.get_context("spawn")
+        for round_ in range(3):
+            root = tmp_path / f"traces{round_}"
+            barrier = context.Barrier(2)
+            results = context.Queue()
+            writers = [
+                context.Process(target=put_at_barrier, args=(root, barrier, results))
+                for _ in range(2)
+            ]
+            for writer in writers:
+                writer.start()
+            digests = [results.get(timeout=120) for _ in writers]
+            for writer in writers:
+                writer.join(timeout=60)
+                assert writer.exitcode == 0
+            key = trace_key_for(long_program, None, r8000(64), 4096)
+            assert digests == [key.digest, key.digest]
+            path = TraceStore(root).object_path(key.digest)
+            assert verify_object(path)["digest"] == key.digest
+            assert not list(root.glob("**/*.tmp"))
 
     def test_faulted_runs_are_not_stored(self, tmp_path):
         store = TraceStore(tmp_path / "traces")
