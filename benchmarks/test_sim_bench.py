@@ -110,16 +110,18 @@ TRACE_N = 64
 
 
 def capture_l1d_trace() -> list[tuple[list[int], list[int] | None]]:
-    """One table-3 simulation with every L1D ``process`` batch recorded."""
+    """One table-3 simulation with every L1D ``process`` batch recorded
+    as the kernel got it (the hierarchy passes a batch's reference total
+    as ``accesses``, not its run lengths)."""
     batches: list[tuple[list[int], list[int] | None]] = []
     original = ClassifyingCache.process
 
-    def recording(self, lines, counts=None):
+    def recording(self, lines, counts=None, **kwargs):
         if self.config.name == "L1D":
             batches.append(
                 (list(lines), list(counts) if counts is not None else None)
             )
-        return original(self, lines, counts)
+        return original(self, lines, counts, **kwargs)
 
     ClassifyingCache.process = recording
     try:

@@ -93,21 +93,30 @@ class ClassifyingCache:
         #: ``None`` for a set-associative cache.
         self.shadow_miss_positions: list[int] | None = None
 
-    def process(self, lines: list[int], counts: list[int] | None = None) -> list[int]:
+    def process(
+        self,
+        lines: list[int],
+        counts: list[int] | None = None,
+        *,
+        accesses: int | None = None,
+    ) -> list[int]:
         """Process a batch of line references; return the lines that missed.
 
         ``lines`` must already be run-length compressed (no two consecutive
         equal entries) if ``counts`` is given; ``counts[i]`` is how many
-        consecutive references entry ``i`` stands for.  The returned miss
-        list preserves order and multiplicity, ready to feed the next level.
+        consecutive references entry ``i`` stands for.  A caller that
+        already has the batch's reference total passes it as
+        ``accesses`` instead of ``counts`` (the hierarchy takes it from
+        one numpy sum).  The returned miss list preserves order and
+        multiplicity, ready to feed the next level.
 
         This is the simulator's hot loop, with locals bound outside the
         loop, and is tuned four ways (each guarded by the
         golden-equivalence suite against :mod:`repro.cache.reference`):
 
-        * the access total is the batch's length (or ``sum(counts)``),
-          hoisted out of the loop entirely instead of accumulated per
-          entry;
+        * the access total is ``accesses``, the batch's length or
+          ``sum(counts)``, hoisted out of the loop entirely instead of
+          accumulated per entry;
         * both the real sets and the shadow are insertion-ordered dicts,
           so a hit refreshes LRU recency in O(1) rather than via
           ``list.remove``'s O(associativity) scan;
@@ -136,7 +145,9 @@ class ClassifyingCache:
         misses_append = misses.append
 
         # Run lengths only scale the access total; settle it up front.
-        stats.accesses += len(lines) if counts is None else sum(counts)
+        if accesses is None:
+            accesses = len(lines) if counts is None else sum(counts)
+        stats.accesses += accesses
 
         n_misses = 0
         n_compulsory = 0

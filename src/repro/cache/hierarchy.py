@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cache.classify import ClassifyingCache, LevelStats
 from repro.cache.config import CacheConfig
 
@@ -25,6 +27,29 @@ def check_writes(writes: int, total: int) -> None:
         raise ValueError(f"writes must be non-negative, got {writes}")
     if writes > total:
         raise ValueError(f"writes={writes} exceeds total references {total}")
+
+
+def check_counts(lines: np.ndarray, counts: np.ndarray) -> None:
+    """Reject run-length counts that do not give each line at least one
+    reference: one numpy comparison per batch."""
+    if len(counts) != len(lines):
+        raise ValueError(f"{len(counts)} counts for {len(lines)} lines")
+    if len(counts) and counts.min() < 1:
+        raise ValueError(f"counts must be at least 1, got {counts.min()}")
+
+
+def as_batch(lines, counts=None) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """An access batch as int64 arrays plus its reference total.
+
+    ``np.asarray`` leaves the trace recorder's int64 arrays as they
+    are; lists and stored slices are converted once.  The total is one
+    numpy sum (``len(lines)`` when ``counts`` is ``None``)."""
+    lines = np.asarray(lines, dtype=np.int64)
+    if counts is None:
+        return lines, None, len(lines)
+    counts = np.asarray(counts, dtype=np.int64)
+    check_counts(lines, counts)
+    return lines, counts, int(counts.sum())
 
 
 @dataclass
@@ -175,7 +200,8 @@ class CacheHierarchy:
         with an ``on_access(lines, counts, writes, shadow_misses)``
         method — the capture point for the content-addressed trace
         store.  It runs after the L1D kernel, and is fed every data
-        batch verbatim plus the kernel's verdicts on it: the batch
+        batch verbatim, as the int64 arrays the kernel got (``counts``
+        may be ``None``), plus the kernel's verdicts on it: the batch
         positions where the fully-associative shadow missed
         (:attr:`ClassifyingCache.shadow_miss_positions`; ``None`` for a
         set-associative L1D, whose kernel keeps none).  Same sidecar
@@ -192,8 +218,8 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     def access_data(
         self,
-        lines: list[int],
-        counts: list[int] | None = None,
+        lines,
+        counts=None,
         writes: int = 0,
     ) -> tuple[list[int], list[int]]:
         """Simulate a batch of data references; return its L1 and L2
@@ -203,18 +229,31 @@ class CacheHierarchy:
         ----------
         lines:
             L1D line numbers, run-length compressed (no consecutive
-            duplicates required when ``counts`` is given).
+            duplicates required when ``counts`` is given): an int64
+            array, as the trace recorder feeds it, or anything
+            ``np.asarray`` turns into one.
         counts:
-            Element-reference multiplicity per entry of ``lines``; when
-            omitted each entry stands for one reference.
+            Element-reference multiplicity per entry of ``lines``, each
+            at least 1; when omitted each entry stands for one
+            reference.
         writes:
             How many of the references are stores (only read/write
             bookkeeping; allocation policy treats loads and stores alike,
             as DineroIII's default demand-fetch policy does).
+
+        The batch stays an array up to the L1D kernel, whose loop gets
+        it as one list (one ``tolist()`` per batch); the reference total
+        is one numpy sum.
         """
-        total = sum(counts) if counts is not None else len(lines)
+        lines, counts, total = as_batch(lines, counts)
+        return self._simulate(lines, total, writes)
+
+    def _simulate(
+        self, lines: np.ndarray, total: int, writes: int
+    ) -> tuple[list[int], list[int]]:
+        """The kernel work of one checked batch of ``total`` references."""
         self.count_data(total, writes)
-        l1_misses = self.l1d.process(lines, counts)
+        l1_misses = self.l1d.process(lines.tolist(), accesses=total)
         if not l1_misses:
             return l1_misses, []
         shift = self._l2_shift
@@ -228,15 +267,10 @@ class CacheHierarchy:
             l2_lines = [mapper.translate_line(line, bits) for line in l2_lines]
         return l1_misses, self.l2.process(l2_lines)
 
-    #: The plain kernel for the instrumented variant, which shadows
-    #: ``access_data`` on the instance; a wrapper on the class attribute
-    #: (simbench's layer tracer) then still sees each batch once.
-    _access_data_plain = access_data
-
     def _access_data_instrumented(
         self,
-        lines: list[int],
-        counts: list[int] | None = None,
+        lines,
+        counts=None,
         writes: int = 0,
     ) -> tuple[list[int], list[int]]:
         """:meth:`access_data` plus the sidecar hooks.
@@ -245,11 +279,14 @@ class CacheHierarchy:
         attached (see :meth:`_rebind_access_data`): the plain kernel
         simulates the batch, then the tap records it with the L1D's
         shadow verdicts, and the oracle, observer and profiler look at
-        the result.  The cache work is the plain kernel's own, so
-        attaching a sidecar changes *observation*, never *simulation*.
+        the result.  The tap and the profiler get the batch as the
+        kernel did, as int64 arrays (``counts`` may be ``None``).  The
+        cache work is the plain kernel's own, so attaching a sidecar
+        changes *observation*, never *simulation*.
         """
+        lines, counts, total = as_batch(lines, counts)
         accesses = self.l1d.stats.accesses
-        l1_misses, l2_misses = self._access_data_plain(lines, counts, writes)
+        l1_misses, l2_misses = self._simulate(lines, total, writes)
         if self._tap is not None:
             self._tap.on_access(
                 lines, counts, writes, self.l1d.shadow_miss_positions

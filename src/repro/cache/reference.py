@@ -121,7 +121,7 @@ class ReferenceClassifyingCache:
 
 def shadow_hit_bits(dlines: np.ndarray, capacity: int) -> np.ndarray:
     """Fully-associative-LRU hit (1) or miss (0) per entry of a
-    deduplicated stream (:func:`repro.trace.store.dedup_mask`), from an
+    deduplicated stream (:func:`repro.trace.recorder.run_heads`), from an
     empty shadow of ``capacity`` lines: the spec of a stored trace's
     shadow annotation, which the store builds from the live kernel's
     verdicts instead (:func:`repro.trace.store.shadow_annotation`)."""

@@ -39,6 +39,8 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
+import numpy as np
+
 from repro.obs.telemetry import DISABLED, Telemetry
 
 #: Bump on any change to the payload layout; readers refuse newer schemas.
@@ -185,14 +187,15 @@ class LocalityProfiler:
     def on_batch(
         self,
         hierarchy: Any,
-        lines: list[int],
-        counts: list[int] | None,
+        lines: np.ndarray,
+        counts: np.ndarray | None,
         writes: int,
         l1_misses: list[int],
         l2_misses: list[int],
     ) -> None:
-        """Charge one processed access batch to the current context."""
-        total = sum(counts) if counts is not None else len(lines)
+        """Charge one processed access batch (int64 arrays, as the
+        kernel got it) to the current context."""
+        total = int(counts.sum()) if counts is not None else len(lines)
         key = (self._site, self._bin)
         context = self._contexts.get(key)
         if context is None:
@@ -255,8 +258,8 @@ class LocalityProfiler:
     def _charge_objects(
         self,
         hierarchy: Any,
-        lines: list[int],
-        counts: list[int] | None,
+        lines: np.ndarray,
+        counts: np.ndarray | None,
         l1_misses: list[int],
         l2_misses: list[int],
     ) -> None:
@@ -278,11 +281,12 @@ class LocalityProfiler:
                 return slots[i]
             return unmapped
 
+        # One conversion each for the per-entry walk.
         if counts is None:
-            for line in lines:
+            for line in lines.tolist():
                 owner(line << shift)[0] += 1
         else:
-            for line, count in zip(lines, counts):
+            for line, count in zip(lines.tolist(), counts.tolist()):
                 owner(line << shift)[0] += count
         for line in l1_misses:
             owner(line << shift)[1] += 1

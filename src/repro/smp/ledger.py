@@ -54,7 +54,7 @@ class CpuLedger(RecordObserver):
             if outer == 1 or not sweep.step:
                 lines, _counts = segment_to_lines(sweep.segment, bits)
             else:
-                lines, _counts = grid_to_lines(((sweep,),), outer, bits)
+                lines = grid_to_lines(((sweep,),), outer, bits)[0].tolist()
             self._note(lines)
 
     def on_lines(self, lines, counts, writes: int, line_bits: int) -> None:

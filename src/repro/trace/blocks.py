@@ -2,8 +2,7 @@
 
 The per-iteration recording style (``record`` / ``record_interleaved``
 once per inner-loop trip) spends most of a simulation in Python call
-overhead — tens of thousands of tiny numpy conversions for a single
-matmul.  A :class:`SegmentSweep` lifts the *outer* loop into the
+overhead — tens of thousands of record calls for a single matmul.  A :class:`SegmentSweep` lifts the *outer* loop into the
 conversion: it describes how a segment's base address advances per outer
 iteration, so a full two-level nest becomes a single broadcasted address
 matrix, one run-length compression, and one record.
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mem.arrays import RefSegment
-from repro.trace.recorder import _compress, validate_segment
+from repro.trace.recorder import runs, validate_segment
 
 #: Address-matrix chunk cap: grids larger than this many elements are
 #: converted in row-aligned chunks and the run-length streams stitched,
@@ -104,20 +103,23 @@ def grid_to_lines(
     groups: Sequence[Sequence[SegmentSweep]],
     outer: int,
     line_bits: int,
-) -> tuple[list[int], list[int]]:
-    """:func:`grid_addresses` as a run-length-compressed line stream —
-    bit-identical to recording the same loops one iteration at a time."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`grid_addresses` as a run-length-compressed line stream of
+    int64 ``(lines, counts)`` arrays — bit-identical to recording the
+    same loops one iteration at a time."""
     for group in groups:
         for sweep in group:
             sweep.validate(line_bits)
-    lines: list[int] = []
-    counts: list[int] = []
+    line_parts: list[np.ndarray] = []
+    count_parts: list[np.ndarray] = []
     for addresses in grid_addresses(groups, outer):
-        chunk_lines, chunk_counts = _compress(addresses >> line_bits)
-        if lines and chunk_lines and lines[-1] == chunk_lines[0]:
-            counts[-1] += chunk_counts[0]
-            chunk_lines = chunk_lines[1:]
-            chunk_counts = chunk_counts[1:]
-        lines.extend(chunk_lines)
-        counts.extend(chunk_counts)
-    return lines, counts
+        lines, counts = runs(addresses >> line_bits)
+        if line_parts and line_parts[-1][-1] == lines[0]:
+            count_parts[-1][-1] += counts[0]
+            lines, counts = lines[1:], counts[1:]
+        if len(lines):
+            line_parts.append(lines)
+            count_parts.append(counts)
+    if len(line_parts) == 1:
+        return line_parts[0], count_parts[0]
+    return np.concatenate(line_parts), np.concatenate(count_parts)

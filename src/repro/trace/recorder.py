@@ -4,11 +4,23 @@ A :class:`TraceRecorder` sits between a traced program and a
 :class:`~repro.cache.hierarchy.CacheHierarchy`.  Programs describe their
 references as :class:`~repro.mem.arrays.RefSegment` objects (optionally
 interleaved, to model loops that alternate between arrays element by
-element); the recorder converts them to run-length-compressed L1-line
-streams with numpy and feeds the hierarchy in batches of at least
+element); the recorder turns them into run-length-compressed L1-line
+streams and feeds the hierarchy in batches of at least
 :data:`COALESCE_ENTRIES` entries, so arbitrarily long traces cost
 constant memory and the kernel's per-batch set-up is paid once per few
 thousand entries rather than once per record.
+
+The stream is built array-at-a-time.  ``record`` and
+``record_interleaved`` check their arguments at the call and queue a
+descriptor: the bases and strides of the record's segments, its
+iteration count and its stores.  One numpy pass
+(:func:`descriptor_lines`) expands, shifts and compresses every queued
+record at once, whenever a batch could first be cut, ahead of a
+``record_grid`` or ``record_lines`` call, and on every drain.  The
+batches stay int64 arrays up to the hierarchy, which converts each once
+for the L1D kernel's loop.  :func:`segment_to_lines` and
+:func:`interleave_segments` are the per-record spec that pass is held
+to.
 
 Din export, the SMP ledger and capture's footprints observe the same
 records through the recorder's ``observers`` list.
@@ -20,7 +32,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.cache.hierarchy import CacheHierarchy, check_writes
+from repro.cache.hierarchy import CacheHierarchy, check_counts, check_writes
 from repro.mem.arrays import RefSegment
 
 #: Run-length entries the recorder buffers before handing them to the
@@ -67,6 +79,14 @@ def validate_segment(segment: RefSegment, line_bits: int) -> None:
         )
 
 
+def check_address(address: int) -> None:
+    """Reject a negative address, as :class:`~repro.mem.allocator.AddressSpace`
+    rejects a negative base: line numbers are addresses shifted right,
+    and the stored-trace replay reserves line -1 for an empty set."""
+    if address < 0:
+        raise ValueError(f"addresses must be non-negative, got {address}")
+
+
 def segment_to_lines(
     segment: RefSegment, line_bits: int
 ) -> tuple[list[int], list[int]]:
@@ -83,8 +103,9 @@ def segment_to_lines(
     if segment.stride == 0 or segment.count == 1:
         return [segment.base >> line_bits], [segment.count]
     if segment.count <= 16:
-        # Tiny segments (thread records, single stencil points) are hot in
-        # the thread package; a plain loop beats numpy's call overhead.
+        # The SMP ledger converts each store operand with this: a quick
+        # extension_smp run makes 364,364 calls, 240k of them on two or
+        # four elements, which this loop takes in 0.7 s and numpy in 4.3.
         lines: list[int] = []
         counts: list[int] = []
         address = segment.base
@@ -100,17 +121,33 @@ def segment_to_lines(
     addresses = segment.base + segment.stride * np.arange(
         segment.count, dtype=np.int64
     )
-    return _compress(addresses >> line_bits)
+    lines, counts = runs(addresses >> line_bits)
+    return lines.tolist(), counts.tolist()
 
 
-def _compress(lines: np.ndarray) -> tuple[list[int], list[int]]:
-    """Run-length compress a line-number array."""
-    if len(lines) == 0:
-        return [], []
-    change = np.flatnonzero(np.diff(lines)) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [len(lines)]))
-    return lines[starts].tolist(), (ends - starts).tolist()
+def run_heads(lines: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``lines`` that differ from their predecessor."""
+    head = np.empty(len(lines), dtype=bool)
+    if len(lines):
+        head[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=head[1:])
+    return head
+
+
+def _lengths(starts: np.ndarray, total: int) -> np.ndarray:
+    """Lengths of the runs that begin at ``starts`` in a sequence of
+    ``total`` items."""
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1:] = total - starts[-1:]
+    return lengths
+
+
+def runs(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run-length compress a line-number array into int64 ``(lines,
+    counts)`` arrays."""
+    starts = run_heads(lines).nonzero()[0]
+    return lines[starts], _lengths(starts, len(lines))
 
 
 def interleave_segments(
@@ -126,6 +163,20 @@ def interleave_segments(
     """
     if not segments:
         return [], []
+    _check_interleave(segments, line_bits)
+    columns = [
+        segment.base
+        + segment.stride * np.arange(segment.count, dtype=np.int64)
+        for segment in segments
+    ]
+    addresses = np.stack(columns, axis=1).reshape(-1)
+    lines, counts = runs(addresses >> line_bits)
+    return lines.tolist(), counts.tolist()
+
+
+def _check_interleave(segments: Sequence[RefSegment], line_bits: int) -> None:
+    """The checks :func:`interleave_segments` and ``record_interleaved``
+    make: equal counts, and each segment valid."""
     count = segments[0].count
     for segment in segments:
         if segment.count != count:
@@ -134,13 +185,61 @@ def interleave_segments(
                 f"{[s.count for s in segments]}"
             )
         validate_segment(segment, line_bits)
-    columns = [
-        segment.base
-        + segment.stride * np.arange(segment.count, dtype=np.int64)
-        for segment in segments
-    ]
-    addresses = np.stack(columns, axis=1).reshape(-1)
-    return _compress(addresses >> line_bits)
+
+
+def _progressions(
+    first: np.ndarray, step: np.ndarray, count: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """``first[k] + i * step[k]`` for ``i < count[k]``, concatenated over
+    ``k``; ``starts`` are where each ``k`` begins (every ``count`` at
+    least 1).  One repeat and one cumsum."""
+    delta = step.repeat(count)
+    delta[starts[1:]] = first[1:] - (first[:-1] + (count[:-1] - 1) * step[:-1])
+    delta[0] = first[0]
+    return delta.cumsum()
+
+
+def descriptor_lines(
+    bases: np.ndarray,
+    strides: np.ndarray,
+    widths: np.ndarray,
+    iterations: np.ndarray,
+    line_bits: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The line streams of queued ``record``/``record_interleaved``
+    calls, converted in one numpy pass.
+
+    Record ``r`` walks ``widths[r]`` segments (``bases``/``strides``,
+    int64 arrays flattened over the records) in lock-step for
+    ``iterations[r]`` elements each.  Returns int64 ``(lines, counts,
+    entries)``: the records' run-length-compressed streams back to
+    back — each record compressed on its own, exactly as
+    :func:`segment_to_lines` and :func:`interleave_segments` compress
+    it — and the number of entries each record contributes.
+    """
+    # Column j of a width-w record holds its elements j, j + w, …:
+    # expand the columns, then scatter them into element order.
+    lengths = iterations.repeat(widths)
+    sizes = widths * iterations
+    record_starts = sizes.cumsum() - sizes
+    column_starts = lengths.cumsum() - lengths
+    columns = _progressions(bases, strides, lengths, column_starts)
+    segment_starts = widths.cumsum() - widths
+    positions = _progressions(
+        record_starts.repeat(widths)
+        + (np.arange(len(bases)) - segment_starts.repeat(widths)),
+        widths.repeat(widths),
+        lengths,
+        column_starts,
+    )
+    addresses = np.empty_like(columns)
+    addresses[positions] = columns
+    lines = addresses >> line_bits
+    head = run_heads(lines)
+    head[record_starts] = True
+    starts = head.nonzero()[0]
+    entries = _lengths(starts.searchsorted(record_starts), len(starts))
+    return lines[starts], _lengths(starts, len(lines)), entries
 
 
 def first_store(sizes: Sequence[int], writes: int) -> int:
@@ -192,13 +291,26 @@ class RecordObserver:
 class TraceRecorder:
     """Streams a program's references and instruction counts to a hierarchy.
 
-    Each ``record*`` call is checked on its own and appended to a buffer;
-    the buffer goes to the hierarchy as one ``access_data`` batch once it
-    holds :data:`COALESCE_ENTRIES` entries, and whenever something is
-    about to read the caches: the recorder registers :meth:`drain` as the
-    hierarchy's ``drain_hook``, which ``snapshot``, ``flush`` and
-    ``reset`` call first.  A record that alone reaches the threshold goes
-    straight through, uncopied, after the buffer ahead of it.
+    Each ``record*`` call is checked on its own, at the call.
+    ``record`` and ``record_interleaved`` queue a descriptor; once the
+    buffered entries plus the queued records' elements reach
+    :data:`COALESCE_ENTRIES` — a record has no more entries than
+    elements, so no batch cut can come sooner — the queue is converted
+    in one pass (:func:`descriptor_lines`).  ``record_grid`` and
+    ``record_lines`` convert the queue ahead of them and then their own
+    int64 arrays.  Converted records are buffered and cut into batches
+    record by record: the buffer goes to the hierarchy as one
+    ``access_data`` batch once it holds :data:`COALESCE_ENTRIES`
+    entries, and a record that alone reaches the threshold goes through
+    alone, behind the buffer.  The same happens whenever something is
+    about to read the caches: the recorder registers :meth:`drain` as
+    the hierarchy's ``drain_hook``, which ``snapshot``, ``flush`` and
+    ``reset`` call first.
+
+    A guarded thread package may stop a proc at any line (its budget),
+    recorder frames included.  Each change to the queue or the buffer
+    is one statement, so such a stop leaves neither torn: at worst the
+    stopped proc's last records never reach the caches.
 
     Every :class:`RecordObserver` in :attr:`observers` sees each record
     first.  Built with ``hierarchy=None`` (and ``line_bits``) the
@@ -215,8 +327,19 @@ class TraceRecorder:
         self.observers: list[RecordObserver] = []
         self._app_instructions = 0
         self._thread_instructions = 0
-        self._lines: list[int] = []
-        self._counts: list[int] = []
+        # The queue: four ints per queued segment (base, stride, the
+        # record's iterations, and its stores on the record's first
+        # segment or -1 on the others), and at least as many elements
+        # as they describe.  Flat ints, not a tuple per record: the
+        # queue keeps no objects for the cyclic collector to chase (a
+        # tuple per record tripled a null-thread pass's collections).
+        self._queue: list[int] = []
+        self._queued = 0
+        # The buffer: converted entries not yet fed, as array pieces,
+        # and their entry and store totals.
+        self._lines: list[np.ndarray] = []
+        self._counts: list[np.ndarray] = []
+        self._buffered = 0
         self._writes = 0
 
     def retarget(self, hierarchy: CacheHierarchy) -> None:
@@ -236,8 +359,13 @@ class TraceRecorder:
         if self.observers:
             self._observe_segments((segment,), writes)
         if self.hierarchy is not None:
-            lines, counts = segment_to_lines(segment, self._line_bits)
-            self._append(lines, counts, writes)
+            validate_segment(segment, self._line_bits)
+            check_address(min(segment.base, segment.last_address))
+            check_writes(writes, segment.count)
+            self._queue_descriptor(
+                (segment.base, segment.stride, segment.count, writes),
+                segment.count,
+            )
 
     def record_interleaved(
         self, segments: list[RefSegment], writes: int = 0
@@ -246,9 +374,21 @@ class TraceRecorder:
         :func:`interleave_segments`)."""
         if self.observers:
             self._observe_segments(segments, writes)
-        if self.hierarchy is not None:
-            lines, counts = interleave_segments(segments, self._line_bits)
-            self._append(lines, counts, writes)
+        if self.hierarchy is None:
+            return
+        if not segments:
+            check_writes(writes, 0)
+            return
+        _check_interleave(segments, self._line_bits)
+        for segment in segments:
+            check_address(min(segment.base, segment.last_address))
+        count = segments[0].count
+        check_writes(writes, count * len(segments))
+        descriptor: list[int] = []
+        for segment in segments:
+            descriptor += (segment.base, segment.stride, count, -1)
+        descriptor[3] = writes
+        self._queue_descriptor(descriptor, count * len(segments))
 
     def record_grid(self, groups, outer: int, writes: int = 0) -> None:
         """Record ``outer`` iterations of a grid of
@@ -262,19 +402,26 @@ class TraceRecorder:
             observer.on_grid(groups, outer, writes)
         if self.hierarchy is not None:
             lines, counts = grid_to_lines(groups, outer, self._line_bits)
-            self._append(lines, counts, writes)
+            self._take_arrays(lines, counts, writes)
 
     def record_lines(
         self, lines: list[int], counts: list[int] | None = None, writes: int = 0
     ) -> None:
         """Record a pre-computed L1-line stream (escape hatch for programs
-        with irregular reference patterns, e.g. tree traversals)."""
+        with irregular reference patterns, e.g. tree traversals).  Each
+        count must be at least 1, one per line."""
         if self.observers:
             tally = [1] * len(lines) if counts is None else counts
             for observer in self.observers:
                 observer.on_lines(lines, tally, writes, self._line_bits)
         if self.hierarchy is not None:
-            self._append(lines, counts, writes)
+            lines = np.asarray(lines, dtype=np.int64)
+            if counts is None:
+                counts = np.ones(len(lines), dtype=np.int64)
+            else:
+                counts = np.asarray(counts, dtype=np.int64)
+                check_counts(lines, counts)
+            self._take_arrays(lines, counts, writes)
 
     def _observe_segments(self, segments, writes: int) -> None:
         """Show observers a plain or interleaved record as a one-group,
@@ -285,33 +432,94 @@ class TraceRecorder:
         for observer in self.observers:
             observer.on_grid(groups, 1, writes)
 
-    def _append(
-        self, lines: list[int], counts: list[int] | None, writes: int
+    def _queue_descriptor(self, descriptor: Sequence[int], elements: int) -> None:
+        """Queue a checked record's descriptor; convert the queue once a
+        batch could be cut."""
+        # The element total goes up first: a stop between these lines
+        # makes the next conversion come early, which cuts the same
+        # batches, never late.
+        self._queued += elements
+        self._queue += descriptor
+        if self._buffered + self._queued >= COALESCE_ENTRIES:
+            self._convert()
+
+    def _take_arrays(self, lines: np.ndarray, counts: np.ndarray, writes: int) -> None:
+        """Check a converted record and buffer it behind the queue."""
+        if len(lines):
+            check_address(int(lines.min()) << self._line_bits)
+        check_writes(writes, int(counts.sum()))
+        if self._queue:
+            self._convert()
+        self._take(lines, counts, (len(lines),), (writes,))
+
+    def _convert(self) -> None:
+        """Convert the queued descriptors in one pass and buffer them."""
+        bases, strides, iterations, writes = np.array(
+            self._queue, dtype=np.int64
+        ).reshape(-1, 4).T
+        firsts = (writes >= 0).nonzero()[0]
+        widths = _lengths(firsts, len(writes))
+        lines, counts, entries = descriptor_lines(
+            bases, strides, widths, iterations[firsts], self._line_bits
+        )
+        self._queue, self._queued = [], 0
+        self._take(lines, counts, entries.tolist(), writes[firsts].tolist())
+
+    def _take(
+        self,
+        lines: np.ndarray,
+        counts: np.ndarray,
+        sizes: Sequence[int],
+        writes: Sequence[int],
     ) -> None:
-        """Feed one record as a batch of its own if it alone reaches the
-        threshold (``access_data`` then checks its ``writes``); otherwise
-        check its ``writes`` against its own references and buffer it."""
-        if len(lines) >= COALESCE_ENTRIES:
-            self.drain()
-            self._feed(lines, counts, writes)
-            return
-        check_writes(writes, len(lines) if counts is None else sum(counts))
-        self._lines += lines
-        self._counts += [1] * len(lines) if counts is None else counts
-        self._writes += writes
-        if len(self._lines) >= COALESCE_ENTRIES:
-            self.drain()
+        """Buffer converted records (``sizes`` entries and ``writes``
+        stores each, back to back in ``lines``/``counts``) in order,
+        cutting batches where the per-record rule does."""
+        threshold = COALESCE_ENTRIES
+        buffered, stores = self._buffered, self._writes
+        start = end = 0
+        for size, record_writes in zip(sizes, writes):
+            if size >= threshold:
+                self._hold(lines[start:end], counts[start:end], buffered, stores)
+                self.drain()
+                start, end = end, end + size
+                self._feed(lines[start:end], counts[start:end], record_writes)
+                start, buffered, stores = end, 0, 0
+                continue
+            end += size
+            buffered += size
+            stores += record_writes
+            if buffered >= threshold:
+                self._hold(lines[start:end], counts[start:end], buffered, stores)
+                self.drain()
+                start, buffered, stores = end, 0, 0
+        self._hold(lines[start:end], counts[start:end], buffered, stores)
+
+    def _hold(
+        self, lines: np.ndarray, counts: np.ndarray, buffered: int, writes: int
+    ) -> None:
+        """Add a piece to the buffer, which then holds ``buffered``
+        entries and ``writes`` stores (an empty piece adds neither)."""
+        if len(lines):
+            self._lines, self._counts, self._buffered, self._writes = (
+                [*self._lines, lines], [*self._counts, counts], buffered, writes
+            )
 
     def drain(self) -> None:
-        """Hand the buffered references to the hierarchy as one batch."""
-        lines = self._lines
-        if not lines:
+        """Convert what is queued and hand the buffered references to
+        the hierarchy as one batch."""
+        if self._queue:
+            self._convert()
+        if not self._lines:
             return
-        counts, writes = self._counts, self._writes
-        self._lines, self._counts, self._writes = [], [], 0
-        self._feed(lines, counts, writes)
+        lines, counts, writes = self._lines, self._counts, self._writes
+        self._lines, self._counts, self._buffered, self._writes = [], [], 0, 0
+        if len(lines) == 1:
+            self._feed(lines[0], counts[0], writes)
+        else:
+            self._feed(np.concatenate(lines), np.concatenate(counts), writes)
 
-    def _feed(self, lines: list[int], counts: list[int] | None, writes: int) -> None:
+    def _feed(self, lines: np.ndarray, counts: np.ndarray, writes: int) -> None:
         hierarchy = self.hierarchy
         assert hierarchy is not None, "an observers-only recorder converts nothing"
         hierarchy.access_data(lines, counts, writes=writes)

@@ -15,7 +15,9 @@ sampler takes the same samples with the same values on either.
   cache oracle, a locality profiler or a trace tap attached: the oracle
   audits the set and shadow dicts after every batch, and the profiler
   and the tap read every batch's lines, none of which the numpy step
-  produces.
+  produces.  It hands ``access_data`` each chunk as slices of the
+  stored arrays, the form the live recorder feeds; ``access_data``
+  converts them once for the kernel's loop.
 * The **numpy step** (:func:`replay_stream`) takes a direct-mapped L1D
   (both paper machines' R8000) whose only sidecar, if any, is an
   observer — the telemetry sampler, which reads statistics only.  This
@@ -59,15 +61,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.trace.store import StoredTrace, dedup_mask
+from repro.trace.recorder import run_heads
+from repro.trace.store import StoredTrace
 
 #: Replay chunk size: stored batches are coalesced until at least this
 #: many run-length entries accumulate, then fed as one kernel batch.
 REPLAY_CHUNK_LINES = 1 << 16
 
 #: Resident line of an empty set in the numpy step.  Line numbers are
-#: byte addresses shifted right, and the allocator's addresses are
-#: non-negative, so no line equals it.
+#: byte addresses shifted right, and the trace recorder rejects negative
+#: addresses, so no line equals it.
 _EMPTY = -1
 
 
@@ -119,16 +122,18 @@ def fast_replay_supported(hierarchy, stored: StoredTrace) -> bool:
 def replay_into(hierarchy, stored: StoredTrace) -> None:
     """Feed the whole stored data stream through ``hierarchy``, chunk by
     chunk: the numpy step when :func:`fast_replay_supported`, otherwise
-    ``access_data``, with each chunk sliced from the memory-mapped views
-    as lists, the kernel's fastest input form."""
+    ``access_data``, with each chunk passed as slices of the
+    memory-mapped views (``access_data`` converts them once, as it does
+    the recorder's batches)."""
     if fast_replay_supported(hierarchy, stored):
         replay_stream(hierarchy, stored)
         return
     access = hierarchy.access_data
-    lines, counts = stored.lines, stored.counts
+    # Plain views: slicing then skips the memmap subclass machinery.
+    lines, counts = np.asarray(stored.lines), np.asarray(stored.counts)
 
     def dict_step(start: int, end: int, writes: int) -> None:
-        access(lines[start:end].tolist(), counts[start:end].tolist(), writes)
+        access(lines[start:end], counts[start:end], writes)
 
     _replay_chunks(stored, dict_step)
 
@@ -199,7 +204,7 @@ class _DirectMappedStep:
         """Simulate one non-empty chunk in the L1D; book its misses by
         class and return the missed lines in order."""
         l1 = self.hierarchy.l1d
-        keep = dedup_mask(chunk)
+        keep = run_heads(chunk)
         keep[0] = self.last is None or chunk[0] != self.last
         self.last = chunk[-1]
         lines = chunk[keep]

@@ -5,10 +5,10 @@ the dominant cost of a simulation — the batched cache kernel does
 millions of lines per second, but the program that feeds it does not.
 This module makes the stream a first-class, cachable artifact:
 
-* :class:`TraceCapture` is a hierarchy *tap* sidecar that records every
-  ``access_data`` batch verbatim (run-length compression preserved)
-  while a live simulation runs, together with the live L1D kernel's
-  shadow verdicts on it;
+* :class:`TraceCapture` is a hierarchy *tap* sidecar that keeps every
+  ``access_data`` batch verbatim (run-length compression preserved, the
+  recorder's line arrays uncopied) while a live simulation runs,
+  together with the live L1D kernel's shadow verdicts on it;
 * :meth:`TraceStore.put` turns those verdicts into the stored shadow
   annotation with one numpy scatter — the fully-associative shadow is
   simulated once, by the live kernel, never again at store time;
@@ -48,6 +48,7 @@ import numpy as np
 from repro.core.stats import SchedulingStats
 from repro.resilience.checkpoint import atomic_write
 from repro.resilience.errors import CheckpointError
+from repro.trace.recorder import run_heads
 
 log = logging.getLogger("repro.campaign")
 
@@ -63,7 +64,11 @@ MAX_TRACE_BYTES = 256 << 20
 
 #: Array layout inside the container, in file order.  ``shadow_hits``
 #: is the stored fully-associative-LRU hit annotation (one byte per
-#: *deduplicated* stream entry, see :func:`dedup_mask`): the shadow
+#: *deduplicated* stream entry, the entries
+#: :func:`~repro.trace.recorder.run_heads` keeps: a consecutive
+#: duplicate line is a guaranteed hit with no state change in either
+#: the real cache or the shadow, so the kernel's run-length fast path
+#: skips it, and replay recomputes the same mask to align): the shadow
 #: evolves on every access, which is inherently sequential, so the
 #: live kernel's verdicts are kept and replayed as data — the
 #: vectorized replay kernel then needs no sequential state at all.  A
@@ -78,26 +83,12 @@ _ARRAY_DTYPES = {
 }
 
 
-def dedup_mask(lines: np.ndarray) -> np.ndarray:
-    """Mask of stream entries that differ from their predecessor.
-
-    Consecutive duplicate lines are guaranteed hits with no state change
-    in either the real cache or the shadow (the kernel's run-length fast
-    path skips them), so the shadow annotation is computed and stored
-    per *deduplicated* entry; replay recomputes this same mask to align.
-    """
-    keep = np.empty(len(lines), dtype=bool)
-    if len(lines):
-        keep[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-    return keep
-
-
 def shadow_annotation(lines: np.ndarray, shadow_misses: np.ndarray) -> np.ndarray:
     """The stored shadow annotation of stream ``lines``: one byte per
-    entry :func:`dedup_mask` keeps, 0 where the live kernel's shadow
-    missed and 1 where it hit, from the stream positions of its misses
-    (:meth:`TraceCapture.shadow_misses`) by one scatter.
+    entry :func:`~repro.trace.recorder.run_heads` keeps, 0 where the
+    live kernel's shadow missed and 1 where it hit, from the stream
+    positions of its misses (:meth:`TraceCapture.shadow_misses`) by one
+    scatter.
 
     The kernel restarts its run-length fast path at every batch, so a
     batch that opens on the previous batch's last line is simulated,
@@ -105,7 +96,7 @@ def shadow_annotation(lines: np.ndarray, shadow_misses: np.ndarray) -> np.ndarra
     hits, and every miss position is an entry the mask keeps.  The spec
     is :func:`repro.cache.reference.shadow_hit_bits`.
     """
-    keep = dedup_mask(lines)
+    keep = run_heads(lines)
     assert keep[shadow_misses].all(), "shadow miss on a repeated line"
     hits = np.ones(len(lines), dtype=np.uint8)
     hits[shadow_misses] = 0
@@ -229,8 +220,11 @@ class TraceCapture:
     :attr:`repro.cache.hierarchy.CacheHierarchy.tap`); each
     ``access_data`` call appends one batch — lines, counts and write
     totals exactly as fed — so replaying the capture reproduces the
-    cache simulation bit for bit, batch boundaries included.  The tap
-    runs after the kernel, and keeps the positions where a
+    cache simulation bit for bit, batch boundaries included.  The
+    batches arrive as the int64 arrays the kernel got; the tap keeps
+    each lines array as it is, uncopied, and each counts array narrowed
+    to the stored ``uint32``, until :meth:`arrays` concatenates them.
+    The tap runs after the kernel, and keeps the positions where a
     direct-mapped L1D's shadow missed as int64 arrays at stream
     offsets, one per batch: they become the stored shadow annotation
     (:func:`shadow_annotation`).  A set-associative kernel passes no
@@ -246,20 +240,23 @@ class TraceCapture:
         self._length = 0
 
     def on_access(self, lines, counts, writes: int, shadow_misses) -> None:
-        """Record one simulated batch; ``shadow_misses`` are the batch
-        positions where the L1D's shadow missed, or ``None``."""
-        arr = np.asarray(lines, dtype=np.int64)
-        if counts is None:
-            cnt = np.ones(len(arr), dtype=np.uint32)
-        else:
-            cnt = np.asarray(counts, dtype=np.uint32)
+        """Record one simulated batch of int64 arrays (``counts`` may be
+        ``None``); ``shadow_misses`` are the batch positions where the
+        L1D's shadow missed, or ``None``."""
+        # Counts narrow to the stored <u4 as they arrive, which holds
+        # the tap to 12 bytes per entry until the store.
+        counts = (
+            np.ones(len(lines), dtype=np.uint32)
+            if counts is None
+            else counts.astype(np.uint32)
+        )
         if shadow_misses:
             positions = np.array(shadow_misses, dtype=np.int64)
             positions += self._length
             self._shadow_misses.append(positions)
-        self._lines.append(arr)
-        self._counts.append(cnt)
-        self._length += len(arr)
+        self._lines.append(lines)
+        self._counts.append(counts)
+        self._length += len(lines)
         self._ends.append(self._length)
         self._writes.append(writes)
 

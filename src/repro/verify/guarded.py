@@ -25,6 +25,7 @@ events here:
 
 from __future__ import annotations
 
+import gc
 import sys
 from typing import Any, Callable
 
@@ -243,12 +244,19 @@ class GuardedThreadPackage(ThreadPackage):
             # far now, so a threshold flush inside this proc cannot
             # charge it for earlier threads' work.
             self.recorder.drain()
+        # A stop raised inside a gc callback is swallowed ("Exception
+        # ignored"), and CPython drops a tracer that raised, so the proc
+        # would run on unbudgeted: no collection runs inside the proc.
+        collecting = gc.isenabled()
+        gc.disable()
         previous = sys.gettrace()
         sys.settrace(tracer)
         try:
             return spec.run()
         finally:
             sys.settrace(previous)
+            if collecting:
+                gc.enable()
 
     # ------------------------------------------------------------------
     # Reporting

@@ -28,11 +28,11 @@ from repro.trace.replay import (
     replay_into,
     replay_stream,
 )
+from repro.trace.recorder import run_heads
 from repro.trace.store import (
     StoredTrace,
     TraceCapture,
     TraceStore,
-    dedup_mask,
     shadow_annotation,
     trace_key_for,
 )
@@ -211,7 +211,7 @@ def stored_stream(lines, counts, ends, writes) -> StoredTrace:
         batch_ends=np.asarray(ends, dtype=np.int64),
         batch_writes=np.asarray(writes, dtype=np.int64),
         shadow_hits=shadow_hit_bits(
-            lines[dedup_mask(lines)], SMALL_L1D.num_lines
+            lines[run_heads(lines)], SMALL_L1D.num_lines
         ),
     )
 
@@ -294,7 +294,7 @@ class TestLiveAnnotation:
         stream_lines = capture.arrays()["lines"]
         annotation = shadow_annotation(stream_lines, capture.shadow_misses())
         spec = shadow_hit_bits(
-            stream_lines[dedup_mask(stream_lines)], SMALL_L1D.num_lines
+            stream_lines[run_heads(stream_lines)], SMALL_L1D.num_lines
         )
         assert annotation.tolist() == spec.tolist()
         assert hierarchy.l1d.shadow_misses == len(spec) - int(spec.sum())

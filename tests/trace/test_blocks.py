@@ -56,21 +56,28 @@ def reference_stream(groups, outer, line_bits):
     return lines, counts
 
 
+def grid_lists(groups, outer, line_bits):
+    """:func:`grid_to_lines`'s int64 arrays as lists, to compare with
+    the per-iteration spec."""
+    lines, counts = grid_to_lines(groups, outer, line_bits)
+    return lines.tolist(), counts.tolist()
+
+
 class TestGridToLines:
     def test_single_sweep_matches_per_iteration(self):
         groups = [[SegmentSweep(RefSegment(0, 8, 16, 8), step=128)]]
-        assert grid_to_lines(groups, 10, LINE_BITS) == reference_stream(
+        assert grid_lists(groups, 10, LINE_BITS) == reference_stream(
             groups, 10, LINE_BITS
         )
 
     def test_loop_invariant_sweep_repeats(self):
         # step=0 walks the same segment every outer trip.
         groups = [[SegmentSweep(RefSegment(64, 8, 8, 8))]]
-        lines, counts = grid_to_lines(groups, 3, LINE_BITS)
+        lines, counts = grid_lists(groups, 3, LINE_BITS)
         # Each trip walks lines 2..3; trips don't merge (3 then 2).
         assert lines == [2, 3, 2, 3, 2, 3]
         assert sum(counts) == 24
-        assert grid_to_lines(groups, 3, LINE_BITS) == reference_stream(
+        assert grid_lists(groups, 3, LINE_BITS) == reference_stream(
             groups, 3, LINE_BITS
         )
 
@@ -82,7 +89,7 @@ class TestGridToLines:
             ],
             [SegmentSweep(RefSegment(8192, 0, 12, 8), step=8)],
         ]
-        assert grid_to_lines(groups, 7, LINE_BITS) == reference_stream(
+        assert grid_lists(groups, 7, LINE_BITS) == reference_stream(
             groups, 7, LINE_BITS
         )
 
@@ -93,9 +100,9 @@ class TestGridToLines:
             [SegmentSweep(RefSegment(0, 8, 8, 8), step=0)],
             [SegmentSweep(RefSegment(1024, 8, 8, 8), step=64)],
         ]
-        expected = grid_to_lines(groups, 50, LINE_BITS)
+        expected = grid_lists(groups, 50, LINE_BITS)
         monkeypatch.setattr(blocks, "_CHUNK_ELEMENTS", 16)
-        assert grid_to_lines(groups, 50, LINE_BITS) == expected
+        assert grid_lists(groups, 50, LINE_BITS) == expected
         assert expected == reference_stream(groups, 50, LINE_BITS)
 
     def test_record_grid_feeds_hierarchy_identically(self):
@@ -141,7 +148,7 @@ class TestGridToLines:
                     SegmentSweep(RefSegment(base, stride, count, 8), step=step)
                 )
             groups.append(group)
-        assert grid_to_lines(groups, outer, LINE_BITS) == reference_stream(
+        assert grid_lists(groups, outer, LINE_BITS) == reference_stream(
             groups, outer, LINE_BITS
         )
 

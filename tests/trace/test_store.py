@@ -27,12 +27,12 @@ from repro.resilience.errors import CheckpointError
 from repro.sim.engine import Simulator
 import repro.trace.replay as replay_module
 import repro.trace.store as store_module
+from repro.trace.recorder import run_heads
 from repro.trace.store import (
     TraceCapture,
     TraceKey,
     TraceStore,
     current_trace_store,
-    dedup_mask,
     load_trace,
     open_trace_store,
     trace_key_for,
@@ -354,7 +354,7 @@ class TestShadowAnnotation:
         # of the kernel's insertion-ordered-dict policy.
         rng = np.random.default_rng(7)
         stream = rng.integers(0, 12, size=400, dtype=np.int64)
-        deduped = stream[dedup_mask(stream)]
+        deduped = stream[run_heads(stream)]
         bits = shadow_hit_bits(deduped, capacity=8)
         shadow: dict[int, None] = {}
         for index, line in enumerate(deduped.tolist()):
@@ -368,7 +368,7 @@ class TestShadowAnnotation:
 
     def test_dedup_mask_drops_consecutive_runs_only(self):
         lines = np.array([3, 3, 5, 3, 3, 3, 7], dtype=np.int64)
-        assert dedup_mask(lines).tolist() == [
+        assert run_heads(lines).tolist() == [
             True, False, True, True, False, False, True,
         ]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 import repro.trace.recorder as recorder_module
@@ -120,6 +122,29 @@ class TestBudget:
         guarded_run(package)
         assert done == [1225]
         assert package.budget_errors == []
+
+    def test_budget_holds_through_gc_callbacks(self):
+        # A gc callback that runs many lines would take the stop, which
+        # Python then swallows, dropping the tracer: the proc below
+        # would run its whole loop, making a cycle per trip.
+        def callback(phase, info):
+            for _ in range(10_000):
+                pass
+
+        def runaway(a, b):
+            for _ in range(200_000):
+                node = []
+                node.append(node)
+
+        package = make_package(thread_budget=5_000)
+        package.th_fork(runaway, None, None)
+        gc.callbacks.append(callback)
+        try:
+            guarded_run(package)
+        finally:
+            gc.callbacks.remove(callback)
+        assert len(package.budget_errors) == 1
+        assert gc.isenabled()
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
