@@ -4,12 +4,13 @@ Two measurements, recorded in ``BENCH_sim.json`` at the repo root so the
 perf trajectory lives in version control alongside the code:
 
 **Kernel throughput.**  The table-3 threaded matmul is simulated once
-with the L1D batch stream captured, then that exact trace is replayed
-through the optimized kernel (:meth:`ClassifyingCache.process`: dict
-LRU, hoisted counts, run-length fast path, direct-mapped loop) and
+with the L1D batch stream captured as the kernel gets it (the
+recorder's int64 arrays), then that exact trace is replayed through the
+optimized kernel (:meth:`ClassifyingCache.process`: the direct-mapped
+array path for coalesced batches, the dict loop for small drains) and
 through the naive per-line list-based reference model
-(:mod:`repro.cache.reference`) that the golden-equivalence suite pins
-it to.  The optimized kernel must be at least ``KERNEL_SPEEDUP_MIN``
+(:mod:`repro.cache.reference`), fed the same lines as lists of ints,
+that the golden-equivalence suite pins it to.  The optimized kernel must be at least ``KERNEL_SPEEDUP_MIN``
 times faster — and must not regress more than 20% against the speedup
 committed in ``BENCH_sim.json``.
 
@@ -58,6 +59,8 @@ import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from repro.apps.matmul.config import MatmulConfig
 from repro.apps.matmul.programs import threaded
@@ -109,18 +112,18 @@ CAMPAIGN_JOBS = 4
 TRACE_N = 64
 
 
-def capture_l1d_trace() -> list[tuple[list[int], list[int] | None]]:
+def capture_l1d_trace() -> list[tuple[np.ndarray, dict]]:
     """One table-3 simulation with every L1D ``process`` batch recorded
-    as the kernel got it (the hierarchy passes a batch's reference total
+    as the kernel got it: the recorder's int64 lines array and the
+    keyword arguments (the hierarchy passes a batch's reference total
     as ``accesses``, not its run lengths)."""
-    batches: list[tuple[list[int], list[int] | None]] = []
+    batches: list[tuple[np.ndarray, dict]] = []
     original = ClassifyingCache.process
 
     def recording(self, lines, counts=None, **kwargs):
         if self.config.name == "L1D":
-            batches.append(
-                (list(lines), list(counts) if counts is not None else None)
-            )
+            assert counts is None
+            batches.append((lines, kwargs))
         return original(self, lines, counts, **kwargs)
 
     ClassifyingCache.process = recording
@@ -134,13 +137,15 @@ def capture_l1d_trace() -> list[tuple[list[int], list[int] | None]]:
 
 
 def replay_seconds(factory, batches) -> float:
+    """Min-of-N time to feed ``batches``, (lines, keyword arguments)
+    pairs, to a fresh ``factory`` cache of the R8000's L1D."""
     best = float("inf")
     config = r8000().l1d
     for _ in range(KERNEL_REPEATS):
         cache = factory(config)
         started = time.perf_counter()
-        for lines, counts in batches:
-            cache.process(lines, counts)
+        for lines, kwargs in batches:
+            cache.process(lines, **kwargs)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -160,8 +165,8 @@ def hierarchy_replay_seconds(batches, profiler_factory=None) -> float:
         if profiler_factory is not None:
             hierarchy.profiler = profiler_factory()
         started = time.perf_counter()
-        for lines, counts in batches:
-            hierarchy.access_data(lines, counts)
+        for lines, _ in batches:
+            hierarchy.access_data(lines)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -276,7 +281,11 @@ def test_kernel_and_campaign_throughput():
     total_lines = sum(len(lines) for lines, _ in batches)
 
     optimized_s = replay_seconds(ClassifyingCache, batches)
-    reference_s = replay_seconds(ReferenceClassifyingCache, batches)
+    # The reference model takes its own input form, lists of ints.
+    reference_s = replay_seconds(
+        ReferenceClassifyingCache,
+        [(lines.tolist(), {}) for lines, _ in batches],
+    )
     kernel_speedup = reference_s / optimized_s
     baseline_speedup = committed_speedup("kernel")
     baseline_replay = committed_speedup("replay")

@@ -42,9 +42,13 @@ def as_batch(lines, counts=None) -> tuple[np.ndarray, np.ndarray | None, int]:
     """An access batch as int64 arrays plus its reference total.
 
     ``np.asarray`` leaves the trace recorder's int64 arrays as they
-    are; lists and stored slices are converted once.  The total is one
-    numpy sum (``len(lines)`` when ``counts`` is ``None``)."""
+    are; lists and stored slices are converted once.  A negative line
+    is rejected with one numpy comparison (the direct-mapped kernels
+    mark an empty set with -1).  The total is one numpy sum
+    (``len(lines)`` when ``counts`` is ``None``)."""
     lines = np.asarray(lines, dtype=np.int64)
+    if len(lines) and lines.min() < 0:
+        raise ValueError(f"line numbers must be non-negative, got {lines.min()}")
     if counts is None:
         return lines, None, len(lines)
     counts = np.asarray(counts, dtype=np.int64)
@@ -203,8 +207,9 @@ class CacheHierarchy:
         batch verbatim, as the int64 arrays the kernel got (``counts``
         may be ``None``), plus the kernel's verdicts on it: the batch
         positions where the fully-associative shadow missed
-        (:attr:`ClassifyingCache.shadow_miss_positions`; ``None`` for a
-        set-associative L1D, whose kernel keeps none).  Same sidecar
+        (:attr:`ClassifyingCache.shadow_miss_positions`, a list or an
+        int64 array; ``None`` for a set-associative L1D, whose kernel
+        keeps none).  Same sidecar
         contract: ``None`` means off."""
         return self._tap
 
@@ -241,9 +246,9 @@ class CacheHierarchy:
             bookkeeping; allocation policy treats loads and stores alike,
             as DineroIII's default demand-fetch policy does).
 
-        The batch stays an array up to the L1D kernel, whose loop gets
-        it as one list (one ``tolist()`` per batch); the reference total
-        is one numpy sum.
+        The batch reaches the L1D kernel as the int64 array (its dict
+        loop takes one ``tolist()``, its array path none); the reference
+        total is one numpy sum.
         """
         lines, counts, total = as_batch(lines, counts)
         return self._simulate(lines, total, writes)
@@ -253,7 +258,7 @@ class CacheHierarchy:
     ) -> tuple[list[int], list[int]]:
         """The kernel work of one checked batch of ``total`` references."""
         self.count_data(total, writes)
-        l1_misses = self.l1d.process(lines.tolist(), accesses=total)
+        l1_misses = self.l1d.process(lines, accesses=total)
         if not l1_misses:
             return l1_misses, []
         shift = self._l2_shift

@@ -3,7 +3,8 @@
 The production kernel
 (:meth:`repro.cache.classify.ClassifyingCache.process`) is tuned for
 throughput — dict-per-set LRU, hoisted access accounting, a run-length
-hit fast path, a dedicated direct-mapped loop.  Optimized hot loops rot
+hit fast path, a dedicated direct-mapped loop, and a numpy path for
+large direct-mapped batches.  Optimized hot loops rot
 silently, so this module keeps a maximally transparent implementation
 of the same semantics: one access at a time, every LRU structure a
 plain Python list in recency order, no batching tricks anywhere.  The
@@ -13,7 +14,8 @@ class-for-class, LRU-order-for-LRU-order agreement, and the kernel
 benchmark (``benchmarks/test_sim_bench.py``) times the optimized path
 against this one to quantify — and guard — the speedup.
 
-It also holds the spec of the trace store's shadow annotation,
+It also holds the spec of the trace store's shadow annotation and of
+the numpy path's shadow verdicts (:func:`repro.cache.classify.lru_hits`),
 :func:`shadow_hit_bits`, which the store's annotation of the live
 kernel's verdicts must equal.
 
@@ -121,7 +123,7 @@ class ReferenceClassifyingCache:
 
 def shadow_hit_bits(dlines: np.ndarray, capacity: int) -> np.ndarray:
     """Fully-associative-LRU hit (1) or miss (0) per entry of a
-    deduplicated stream (:func:`repro.trace.recorder.run_heads`), from an
+    deduplicated stream (:func:`repro.cache.classify.run_heads`), from an
     empty shadow of ``capacity`` lines: the spec of a stored trace's
     shadow annotation, which the store builds from the live kernel's
     verdicts instead (:func:`repro.trace.store.shadow_annotation`)."""

@@ -32,6 +32,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.cache.classify import run_heads
 from repro.cache.hierarchy import CacheHierarchy, check_counts, check_writes
 from repro.mem.arrays import RefSegment
 
@@ -123,15 +124,6 @@ def segment_to_lines(
     )
     lines, counts = runs(addresses >> line_bits)
     return lines.tolist(), counts.tolist()
-
-
-def run_heads(lines: np.ndarray) -> np.ndarray:
-    """Mask of the entries of ``lines`` that differ from their predecessor."""
-    head = np.empty(len(lines), dtype=bool)
-    if len(lines):
-        head[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=head[1:])
-    return head
 
 
 def _lengths(starts: np.ndarray, total: int) -> np.ndarray:

@@ -23,26 +23,25 @@ sampler takes the same samples with the same values on either.
   observer — the telemetry sampler, which reads statistics only.  This
   is how saved campaigns replay.
 
-The numpy step replaces the dict kernel's per-entry loop for the L1D,
-the level that sees every reference:
+The numpy step simulates the L1D, the level that sees every
+reference, with the code the live kernel's array path runs:
 
 * consecutive-duplicate entries are guaranteed hits with no state
   change, so each chunk is deduplicated with one vectorized compare —
   its first entry against the previous chunk's last line, which keeps
   the chunk aligned with the stored shadow annotation;
-* a *direct-mapped* cache has no LRU state — an access hits exactly
-  when the previous access to its set was the same line — so hits and
-  misses fall out of one stable sort by set index and two shifted
-  compares, with each set's resident line carried in from the previous
-  chunk;
-* a miss is compulsory exactly when its line is new to the L1D's
-  compulsory history (``l1d._seen``), as in the dict kernel;
-* the capacity/conflict split needs the fully-associative shadow, whose
-  LRU state *is* inherently sequential — which is why the container
-  ships the live kernel's per-entry shadow verdicts, recorded by the
-  capture tap as the stream was simulated
-  (:func:`repro.trace.store.shadow_annotation`).  A set-associative
-  L1D's object ships none, and replays through the dict step.
+* the real cache and the classification are
+  :func:`repro.cache.classify.direct_mapped_misses`: one stable sort by
+  set index and two shifted compares, with each set's resident line
+  carried in from the previous chunk, and a miss compulsory exactly
+  when its line is new to the L1D's compulsory history
+  (``l1d._seen``);
+* the capacity/conflict split takes the fully-associative shadow's
+  verdicts from the container: the live kernel's per-entry verdicts,
+  recorded by the capture tap as the stream was simulated
+  (:func:`repro.trace.store.shadow_annotation`), so replay never
+  re-runs the shadow.  A set-associative L1D's object ships none, and
+  replays through the dict step.
 
 After each chunk the numpy step applies the L1 statistics and
 read/write counts ``access_data`` would have applied, forwards the
@@ -61,17 +60,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.trace.recorder import run_heads
+from repro.cache.classify import EMPTY, direct_mapped_misses, run_heads
 from repro.trace.store import StoredTrace
 
 #: Replay chunk size: stored batches are coalesced until at least this
 #: many run-length entries accumulate, then fed as one kernel batch.
 REPLAY_CHUNK_LINES = 1 << 16
-
-#: Resident line of an empty set in the numpy step.  Line numbers are
-#: byte addresses shifted right, and the trace recorder rejects negative
-#: addresses, so no line equals it.
-_EMPTY = -1
 
 
 def _chunk_batches(ends) -> list[int]:
@@ -176,11 +170,9 @@ class _DirectMappedStep:
         self.lines = np.asarray(stored.lines)
         self.counts = np.asarray(stored.counts)
         self.shadow_hits = np.asarray(stored.shadow_hits)
-        l1 = hierarchy.l1d
-        self.resident = np.full(l1.config.num_sets, _EMPTY, dtype=np.int64)
-        # Set indices in the narrowest unsigned type: numpy's stable
-        # argsort radix-sorts 8- and 16-bit integers.
-        self.set_dtype = np.min_scalar_type(l1.set_mask)
+        self.resident = np.full(
+            hierarchy.l1d.config.num_sets, EMPTY, dtype=np.int64
+        )
         self.last = None
         self.shadow_offset = 0
 
@@ -216,56 +208,6 @@ class _DirectMappedStep:
         self.shadow_offset = offset + n
         if not n:
             return lines  # the chunk only repeats the previous line
-
-        # Direct-mapped hit/miss: group accesses by set with a stable
-        # sort; an access misses exactly when it differs from the line
-        # before it in its set — the resident line, for the set's first
-        # access in the chunk.  The set's last access stays resident.
-        sets = (lines & l1.set_mask).astype(self.set_dtype)
-        order = np.argsort(sets, kind="stable")
-        sorted_sets = sets[order]
-        sorted_lines = lines[order]
-        head = np.empty(n, dtype=bool)
-        head[0] = True
-        np.not_equal(sorted_sets[1:], sorted_sets[:-1], out=head[1:])
-        before = np.empty(n, dtype=np.int64)
-        before[1:] = sorted_lines[:-1]
-        before[head] = self.resident[sorted_sets[head]]
-        tail = np.empty(n, dtype=bool)
-        tail[:-1] = head[1:]
-        tail[-1] = True
-        self.resident[sorted_sets[tail]] = sorted_lines[tail]
-        miss = np.empty(n, dtype=bool)
-        miss[order] = sorted_lines != before
-
-        # Classification, as the dict kernel does it: a miss on a line
-        # outside the compulsory history is compulsory; the others split
-        # capacity/conflict on the stored shadow verdict.  A first-ever
-        # line cannot hit in the shadow, so the sum check below also
-        # checks the annotation against the history.
-        missed = lines[miss]
-        n_misses = len(missed)
-        if not n_misses:
-            return missed
-        shadow_hit = shadow[miss] != 0
-        seen = l1._seen
-        distinct, first = np.unique(missed, return_index=True)
-        new = ~np.fromiter(
-            map(seen.__contains__, distinct.tolist()), dtype=bool,
-            count=len(distinct),
+        return direct_mapped_misses(
+            lines, shadow != 0, self.resident, l1.set_mask, l1._seen, l1.stats
         )
-        new_lines = distinct[new].tolist()
-        seen.update(new_lines)
-        capacity = ~shadow_hit
-        capacity[first[new]] = False
-        n_compulsory = len(new_lines)
-        n_capacity = int(np.count_nonzero(capacity))
-        n_conflict = int(np.count_nonzero(shadow_hit))
-        assert n_compulsory + n_capacity + n_conflict == n_misses
-
-        stats = l1.stats
-        stats.misses += n_misses
-        stats.compulsory += n_compulsory
-        stats.capacity += n_capacity
-        stats.conflict += n_conflict
-        return missed

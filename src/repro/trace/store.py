@@ -45,10 +45,10 @@ from typing import Any
 
 import numpy as np
 
+from repro.cache.classify import run_heads
 from repro.core.stats import SchedulingStats
 from repro.resilience.checkpoint import atomic_write
 from repro.resilience.errors import CheckpointError
-from repro.trace.recorder import run_heads
 
 log = logging.getLogger("repro.campaign")
 
@@ -65,7 +65,7 @@ MAX_TRACE_BYTES = 256 << 20
 #: Array layout inside the container, in file order.  ``shadow_hits``
 #: is the stored fully-associative-LRU hit annotation (one byte per
 #: *deduplicated* stream entry, the entries
-#: :func:`~repro.trace.recorder.run_heads` keeps: a consecutive
+#: :func:`~repro.cache.classify.run_heads` keeps: a consecutive
 #: duplicate line is a guaranteed hit with no state change in either
 #: the real cache or the shadow, so the kernel's run-length fast path
 #: skips it, and replay recomputes the same mask to align): the shadow
@@ -85,7 +85,7 @@ _ARRAY_DTYPES = {
 
 def shadow_annotation(lines: np.ndarray, shadow_misses: np.ndarray) -> np.ndarray:
     """The stored shadow annotation of stream ``lines``: one byte per
-    entry :func:`~repro.trace.recorder.run_heads` keeps, 0 where the
+    entry :func:`~repro.cache.classify.run_heads` keeps, 0 where the
     live kernel's shadow missed and 1 where it hit, from the stream
     positions of its misses (:meth:`TraceCapture.shadow_misses`) by one
     scatter.
@@ -242,7 +242,7 @@ class TraceCapture:
     def on_access(self, lines, counts, writes: int, shadow_misses) -> None:
         """Record one simulated batch of int64 arrays (``counts`` may be
         ``None``); ``shadow_misses`` are the batch positions where the
-        L1D's shadow missed, or ``None``."""
+        L1D's shadow missed (a list or an int64 array), or ``None``."""
         # Counts narrow to the stored <u4 as they arrive, which holds
         # the tap to 12 bytes per entry until the store.
         counts = (
@@ -250,10 +250,10 @@ class TraceCapture:
             if counts is None
             else counts.astype(np.uint32)
         )
-        if shadow_misses:
-            positions = np.array(shadow_misses, dtype=np.int64)
-            positions += self._length
-            self._shadow_misses.append(positions)
+        if shadow_misses is not None and len(shadow_misses):
+            self._shadow_misses.append(
+                np.add(shadow_misses, self._length, dtype=np.int64)
+            )
         self._lines.append(lines)
         self._counts.append(counts)
         self._length += len(lines)

@@ -75,6 +75,15 @@ class TestDataPath:
             h.access_data([1, 2, 3], writes=-1)
         assert h.snapshot().data_refs == 0
 
+    def test_negative_line_rejected(self):
+        # The direct-mapped kernels mark an empty set with -1, so a
+        # negative line would hit a set that holds nothing.
+        h = make_hierarchy()
+        with pytest.raises(ValueError, match="non-negative"):
+            h.access_data([3, -1, 4])
+        assert h.snapshot().data_refs == 0
+        assert h.l1d.stats.accesses == 0
+
 
 class TestInstructionSide:
     def test_fetches_counted_not_simulated(self):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.cache.classify as classify_module
 import repro.trace.replay as replay_module
 from repro.apps.sor import SorConfig, VERSIONS as SOR
+from repro.cache.classify import run_heads
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.reference import ReferenceClassifyingCache, shadow_hit_bits
@@ -28,7 +30,6 @@ from repro.trace.replay import (
     replay_into,
     replay_stream,
 )
-from repro.trace.recorder import run_heads
 from repro.trace.store import (
     StoredTrace,
     TraceCapture,
@@ -273,32 +274,49 @@ class TestLiveAnnotation:
     @given(stream=streams())
     @example(stream=([3, 7, 7, 3, 3, 40], [1] * 6, [2, 2, 4, 6], [0] * 4))
     def test_annotation_is_the_kernels_and_the_specs(self, stream):
-        lines, counts, ends, writes = stream
-        hierarchy = CacheHierarchy(SMALL_L1I, SMALL_L1D, SMALL_L2)
-        capture = TraceCapture()
-        hierarchy.tap = capture
-        reference = ReferenceClassifyingCache(SMALL_L1D)
-        reference_misses = []
-        start = 0
-        for end, batch_writes in zip(ends, writes):
-            hierarchy.access_data(
-                lines[start:end], counts[start:end], batch_writes
-            )
-            for position in range(start, end):
-                before = reference.shadow_misses
-                reference.access(lines[position])
-                if reference.shadow_misses > before:
-                    reference_misses.append(position)
-            start = end
+        check_live_annotation(stream)
 
-        stream_lines = capture.arrays()["lines"]
-        annotation = shadow_annotation(stream_lines, capture.shadow_misses())
-        spec = shadow_hit_bits(
-            stream_lines[run_heads(stream_lines)], SMALL_L1D.num_lines
+    @settings(max_examples=150, deadline=None)
+    @given(stream=streams())
+    @example(stream=([3, 7, 7, 3, 3, 40], [1] * 6, [2, 2, 4, 6], [0] * 4))
+    def test_array_path_annotation_is_the_specs(self, stream):
+        # Every non-empty batch takes the L1D's array path, whose miss
+        # positions reach the tap as an int64 array.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify_module, "ARRAY_KERNEL_ENTRIES", 1)
+            check_live_annotation(stream)
+
+
+def check_live_annotation(stream) -> None:
+    """Feed ``stream`` through a tapped hierarchy batch by batch; the
+    tap's annotation must be the spec's, and the kernel's shadow miss
+    positions the reference's."""
+    lines, counts, ends, writes = stream
+    hierarchy = CacheHierarchy(SMALL_L1I, SMALL_L1D, SMALL_L2)
+    capture = TraceCapture()
+    hierarchy.tap = capture
+    reference = ReferenceClassifyingCache(SMALL_L1D)
+    reference_misses = []
+    start = 0
+    for end, batch_writes in zip(ends, writes):
+        hierarchy.access_data(
+            lines[start:end], counts[start:end], batch_writes
         )
-        assert annotation.tolist() == spec.tolist()
-        assert hierarchy.l1d.shadow_misses == len(spec) - int(spec.sum())
-        assert capture.shadow_misses().tolist() == reference_misses
+        for position in range(start, end):
+            before = reference.shadow_misses
+            reference.access(lines[position])
+            if reference.shadow_misses > before:
+                reference_misses.append(position)
+        start = end
+
+    stream_lines = capture.arrays()["lines"]
+    annotation = shadow_annotation(stream_lines, capture.shadow_misses())
+    spec = shadow_hit_bits(
+        stream_lines[run_heads(stream_lines)], SMALL_L1D.num_lines
+    )
+    assert annotation.tolist() == spec.tolist()
+    assert hierarchy.l1d.shadow_misses == len(spec) - int(spec.sum())
+    assert capture.shadow_misses().tolist() == reference_misses
 
 
 class TestNumpyStep:

@@ -27,7 +27,7 @@ from repro.resilience.errors import CheckpointError
 from repro.sim.engine import Simulator
 import repro.trace.replay as replay_module
 import repro.trace.store as store_module
-from repro.trace.recorder import run_heads
+from repro.cache.classify import run_heads
 from repro.trace.store import (
     TraceCapture,
     TraceKey,
