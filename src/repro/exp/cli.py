@@ -153,9 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--force-parallel",
         action="store_true",
         help=(
-            "with --jobs: keep the worker pool even on a single-CPU host "
-            "(by default the campaign runs serially there, where a pool "
-            "only adds process overhead)"
+            "with --jobs: keep worker processes even on a single-CPU host "
+            "(by default the campaign runs serially there, where workers "
+            "only add process overhead)"
         ),
     )
     durability = parser.add_argument_group("durability")
@@ -258,8 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="S",
         help=(
-            "with --jobs: kill and recover a worker whose heartbeat goes "
-            "stale for S seconds (0 = stall detection off)"
+            "with --jobs: kill and recover a worker that sends no beat "
+            "for S seconds (0 = stall detection off)"
         ),
     )
     tolerance.add_argument(

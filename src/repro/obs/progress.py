@@ -176,12 +176,11 @@ class CampaignReporter:
     def worker_crash(
         self, experiment_id: str, crashes: int, limit: int, kind: str = "crash"
     ) -> None:
-        """A worker process died (or stalled) mid-experiment; the
-        supervisor rebuilds the pool and retries or quarantines."""
+        """The worker process running an experiment died (or stalled and
+        was killed); that experiment is resubmitted or quarantined."""
         what = "stalled and was killed" if kind == "stall" else "crashed"
         self.error(
-            f"worker {what} running {experiment_id} "
-            f"(death {crashes}/{limit}); rebuilding the pool"
+            f"worker {what} running {experiment_id} (death {crashes}/{limit})"
         )
 
     def quarantine(self, experiment_id: str, crashes: int) -> None:
@@ -200,13 +199,13 @@ class CampaignReporter:
         )
 
     def jobs_downgrade(self, requested: int, cpus: int) -> None:
-        """--jobs asked for a pool the host cannot overlap; running
+        """--jobs asked for workers the host cannot overlap; running
         serial instead (manifests are identical either way)."""
         self.info(
             f"--jobs {requested} requested but only {cpus} CPU(s) are "
-            "available; running serially (a pool cannot overlap compute "
-            "here and its process overhead would slow the campaign — "
-            "force the pool with --force-parallel)"
+            "available; running serially (worker processes cannot overlap "
+            "compute here and their overhead would slow the campaign — "
+            "force them with --force-parallel)"
         )
 
     # ------------------------------------------------------------------

@@ -18,16 +18,16 @@ This package provides the four pieces the experiment stack composes:
 * :mod:`repro.resilience.faults` — a deterministic fault-injection
   harness that arms failures at named sites so the tests can prove the
   retry/degradation/resume paths actually work, including process-level
-  chaos sites (``worker.crash``/``worker.stall``/``worker.slow``);
-* :mod:`repro.resilience.supervisor` — a supervised worker pool for
-  ``--jobs`` campaigns: crash detection with pool rebuild and orphan
-  resubmission, heartbeat-based stall detection, and poison-job
-  quarantine (``WorkerCrashError``, classified ``worker-crash``).
+  chaos sites (``worker.crash``/``worker.stall``/``worker.slow``).
 
 The campaign driver that ties them together lives in
-:mod:`repro.resilience.campaign` (imported on demand by the CLI, not
-here, to keep this package import-light for the low-level layers that
-only need the exception types).
+:mod:`repro.resilience.campaign`, and its ``--jobs`` executor in
+:mod:`repro.resilience.parallel`: one worker process per experiment,
+each crash or stall charged to exactly that experiment, and poison-job
+quarantine (``WorkerCrashError``, classified ``worker-crash``).  Both
+are imported on demand by the CLI, not here, to keep this package
+import-light for the low-level layers that only need the exception
+types.
 """
 
 from repro.resilience.checkpoint import ExperimentRecord, RunManifest, RunStore
@@ -45,11 +45,6 @@ from repro.resilience.errors import (
 )
 from repro.resilience.faults import FAULTS, FaultInjector, fault_point
 from repro.resilience.retry import RetryPolicy, call_with_retry, watchdog
-from repro.resilience.supervisor import (
-    PoolSupervisor,
-    SupervisedJob,
-    SupervisorPolicy,
-)
 
 __all__ = [
     "CheckpointError",
@@ -60,15 +55,12 @@ __all__ = [
     "FAULTS",
     "FaultInjected",
     "FaultInjector",
-    "PoolSupervisor",
     "ReproError",
     "RetryPolicy",
     "RunManifest",
     "RunStore",
     "SimulationError",
     "StoreCorruptionError",
-    "SupervisedJob",
-    "SupervisorPolicy",
     "WorkerCrashError",
     "call_with_retry",
     "classify_error",

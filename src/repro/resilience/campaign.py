@@ -18,10 +18,12 @@ experiment byte-for-byte (the simulator is deterministic, so stored and
 recomputed tables are identical) and runs only what is missing,
 including any experiment whose record no longer verifies.
 
-``--jobs N`` shards the remaining experiments across N worker processes
-(see :mod:`repro.resilience.parallel`); results merge back in plan
-order, so manifests, summaries, retries, faults, and resume behave
-exactly as in a serial run.
+``--jobs N`` runs each remaining experiment in its own worker process,
+up to N at a time (see :mod:`repro.resilience.parallel`).  Either way
+records reach one loop in plan order, which checkpoints and narrates
+them, counts failures for ``--fail-fast`` and the circuit breaker, and
+flushes the manifest on interrupt; so manifests, summaries, retries,
+faults, and resume behave exactly as in a serial run.
 """
 
 from __future__ import annotations
@@ -89,18 +91,19 @@ class CampaignConfig:
     #: uninstrumented ``access_data``, so disabled profiling is free.
     profile: bool = False
     #: Worker processes for the campaign (``--jobs``): 1 runs everything
-    #: in-process; N > 1 shards the remaining experiments across N
-    #: workers via :mod:`repro.resilience.parallel`, with results merged
-    #: back in plan order so manifests and summaries match serial runs.
-    #: On a host with a single effective CPU the pool cannot overlap any
-    #: compute and its process overhead makes the campaign *slower* than
-    #: serial, so ``jobs > 1`` auto-degrades to the serial loop there
-    #: (narrated by the reporter; manifests are identical either way).
+    #: in-process; N > 1 runs each remaining experiment in its own worker
+    #: process, up to N at a time, via :mod:`repro.resilience.parallel`,
+    #: with results merged back in plan order so manifests and summaries
+    #: match serial runs.  On a host with a single effective CPU workers
+    #: cannot overlap any compute and their process overhead makes the
+    #: campaign *slower* than serial, so ``jobs > 1`` auto-degrades to
+    #: in-process runs there (narrated by the reporter; manifests are
+    #: identical either way).
     jobs: int = 1
-    #: Keep the worker pool even when the host has a single effective
-    #: CPU (suppresses the auto-degrade above).  The chaos/recovery
-    #: machinery is only exercised by a real pool, so supervision tests
-    #: and crash drills set this.
+    #: Keep worker processes even when the host has a single effective
+    #: CPU (suppresses the auto-degrade above).  Crash recovery is only
+    #: exercised by real workers, so supervision tests and crash drills
+    #: set this.
     force_parallel: bool = False
     #: Content-addressed trace store directory (``--trace-store``): every
     #: simulation in the campaign first consults the store and replays a
@@ -111,13 +114,13 @@ class CampaignConfig:
     #: once this many experiments ended not-passed this session; later
     #: experiments stay pending.  0 disables the breaker.
     max_failures: int = 0
-    #: Worker deaths one experiment may cause before the supervised
+    #: Worker deaths one experiment may cause before the ``--jobs``
     #: executor quarantines it (recorded as a ``worker-crash`` error and
     #: skipped; ``--resume`` retries it).  Only meaningful with --jobs.
     max_worker_crashes: int = 2
-    #: Heartbeat staleness (seconds) after which a worker is declared
-    #: stalled and SIGKILLed by the supervisor; 0 disables stall
-    #: detection.  Only meaningful with --jobs.
+    #: Seconds without a beat from a worker after which it is declared
+    #: stalled and SIGKILLed by the parent; 0 disables stall detection.
+    #: Only meaningful with --jobs.
     stall_timeout_s: float = 0.0
 
 
@@ -267,6 +270,32 @@ def _run_one(
         )
 
 
+def _run_serial(
+    config: CampaignConfig,
+    plan: list[tuple[int, str]],
+    total: int,
+    reporter: CampaignReporter,
+    runner: Callable,
+    obs: Telemetry,
+) -> Iterator[tuple[int, ExperimentRecord]]:
+    """The serial source of the campaign loop: ``(index, record)`` for
+    each planned experiment, run in-process inside an ``exp.<id>`` span
+    of the campaign's own bus."""
+    for index, experiment_id in plan:
+        reporter.start_experiment(experiment_id, index, total)
+        if obs.enabled:
+            obs.bus.begin(f"exp.{experiment_id}", quick=config.quick)
+        try:
+            record = _run_one(config, experiment_id, runner, reporter, obs)
+        except KeyboardInterrupt:
+            if obs.enabled:
+                obs.bus.end(status="interrupted")
+            raise
+        if obs.enabled:
+            obs.bus.end(status=record.status, attempts=record.attempts)
+        yield index, record
+
+
 def _emit_record(
     config: CampaignConfig,
     store: RunStore,
@@ -279,12 +308,8 @@ def _emit_record(
     index: int,
     total: int,
 ) -> None:
-    """Checkpoint and narrate one finished experiment.
-
-    Shared by the serial loop and the parallel executor (which calls it
-    in plan order as worker results merge), so checkpoint timing,
-    narration, and progress lines are identical either way.
-    """
+    """Checkpoint and narrate one finished experiment, in plan order,
+    whichever source (serial or ``--jobs``) produced its record."""
     if persist:
         checkpoint_started = time.perf_counter()
         store.record(manifest, record)
@@ -406,7 +431,7 @@ def _run_campaign(
     if jobs > 1 and not config.force_parallel:
         cpus = _effective_cpus()
         if cpus <= 1:
-            # A pool on one CPU cannot overlap compute; its process
+            # Workers on one CPU cannot overlap compute; their process
             # overhead makes the campaign strictly slower than serial
             # (the benchmark records the regression).  Degrade silently
             # in output terms: results and manifests are identical.
@@ -419,41 +444,19 @@ def _run_campaign(
     try:
         with _sigint_raises(), verify_scope, telemetry_scope(obs), traces_scope:
             remaining = manifest.remaining()
-            done_before = total - len(remaining)
+            plan = list(enumerate(remaining, total - len(remaining) + 1))
             if jobs > 1 and len(remaining) > 1:
                 from repro.resilience.parallel import run_parallel
 
-                interrupted = run_parallel(
-                    config,
-                    manifest,
-                    store,
-                    reporter,
-                    runner,
-                    obs,
-                    writer,
-                    persist,
-                )
+                source = run_parallel
             else:
-                failures = 0
-                for offset, experiment_id in enumerate(remaining):
-                    index = done_before + offset + 1
-                    reporter.start_experiment(experiment_id, index, total)
-                    if obs.enabled:
-                        obs.bus.begin(f"exp.{experiment_id}", quick=config.quick)
-                    try:
-                        record = _run_one(
-                            config, experiment_id, runner, reporter, obs
-                        )
-                    except KeyboardInterrupt:
-                        if obs.enabled:
-                            obs.bus.end(status="interrupted")
-                        interrupted = True
-                        manifest.interrupted = True
-                        if persist:
-                            store.save(manifest)
-                        break
-                    if obs.enabled:
-                        obs.bus.end(status=record.status, attempts=record.attempts)
+                source = _run_serial
+            records = source(config, plan, total, reporter, runner, obs)
+            # The one campaign loop: serial and --jobs records alike are
+            # checkpointed, counted and flushed here, in plan order.
+            failures = 0
+            try:
+                for index, record in records:
                     _emit_record(
                         config,
                         store,
@@ -479,6 +482,13 @@ def _run_campaign(
                                     "campaign.circuit_breaker", failures=failures
                                 )
                             break
+            except KeyboardInterrupt:
+                interrupted = True
+                manifest.interrupted = True
+                if persist:
+                    store.save(manifest)
+            finally:
+                records.close()
     finally:
         if writer is not None:
             obs.metrics.gauge("faults.fired_total").set(FAULTS.fired_total)

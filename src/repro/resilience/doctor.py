@@ -14,8 +14,7 @@ doctor has three jobs, in run directories and trace stores alike::
   ``sha256`` field, ``.rtr`` trace containers by their data checksum;
 * delete the corrupt ones (``--repair``): ``repro-experiments --resume``
   re-runs a deleted record, and the next campaign regenerates a trace;
-* sweep debris (``--repair``): orphaned ``*.tmp`` writes and stale
-  supervisor ``.hb`` heartbeat files.
+* sweep debris (``--repair``): orphaned ``*.tmp`` writes.
 
 ``manifest.json`` is a report, not an object: ``--resume`` rewrites it
 from the objects, so the doctor leaves it alone.  Findings are narrated
@@ -43,7 +42,6 @@ from repro.resilience.errors import CheckpointError, StoreCorruptionError
 CODES: dict[str, str] = {
     "D002": "object unreadable (transient I/O error)",
     "D011": "orphaned .tmp file from an interrupted write",
-    "D014": "stale supervisor heartbeat files",
     "D015": "no readable plan (the run cannot be resumed)",
     "D019": "corrupt object (repair deletes it; it is recomputed)",
 }
@@ -117,18 +115,7 @@ def _debris(label: str, tmp_files: list[Path]) -> list[Finding]:
 
 def audit_run(store: RunStore, run_id: str) -> list[Finding]:
     """Every problem the doctor can see in one run directory."""
-    run_dir = store.run_dir(run_id)
-    findings = _debris(run_id, sorted(run_dir.glob("*.tmp")))
-    heartbeats = sorted(run_dir.glob(".hb/*.hb"))
-    if heartbeats:
-        findings.append(
-            Finding(
-                "D014", "warning", run_id,
-                f"{len(heartbeats)} stale supervisor heartbeat file(s) "
-                "(the campaign process died without cleanup)",
-                paths=heartbeats,
-            )
-        )
+    findings = _debris(run_id, sorted(store.run_dir(run_id).glob("*.tmp")))
     plan_path = store.plan_path(run_id)
     try:
         plan = read_object(plan_path)
@@ -207,11 +194,6 @@ def repair(findings: list[Finding]) -> list[str]:
                 raise CheckpointError(
                     f"cannot delete {path.name}: {exc}", path=str(path)
                 ) from exc
-        if finding.code == "D014":
-            try:
-                finding.paths[0].parent.rmdir()
-            except OSError:
-                pass  # a live writer re-created a heartbeat; leave it
         names = ", ".join(path.name for path in finding.paths)
         actions.append(f"{finding.code}: deleted {names}")
     return actions
@@ -226,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Verify every stored object of the campaign run store (and "
             "with --trace-store, a trace store); --repair deletes corrupt "
-            "objects, orphaned tmp files and stale heartbeats."
+            "objects and orphaned tmp files."
         ),
     )
     parser.add_argument(

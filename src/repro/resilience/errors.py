@@ -19,7 +19,7 @@ in a traceback.  The hierarchy:
     │       └── ``WorkerCrashError``  — the worker process running the
     │                                   experiment died (classified
     │                                   ``worker-crash``; see
-    │                                   ``repro.resilience.supervisor``)
+    │                                   ``repro.resilience.parallel``)
     └── ``CheckpointError``   — a stored object could not be read or written
             └── ``StoreCorruptionError`` — a stored object's bytes do not
                                   parse or match their checksum; fatal
@@ -186,11 +186,12 @@ class ExperimentTimeout(ExperimentError):
 class WorkerCrashError(ExperimentError):
     """The worker process running an experiment died outright.
 
-    Raised (parent-side) by the supervised campaign executor when a
-    worker segfaults, is OOM-killed, exits via an injected
-    ``worker.crash``, or is SIGKILLed by the stall detector.  ``crashes``
-    counts how many times this experiment killed its worker; a job that
-    reaches the quarantine bound is recorded with this error (classified
+    Built (parent-side) by the ``--jobs`` executor when the process
+    running an experiment exits without a result — it segfaulted, was
+    OOM-killed, exited via an injected ``worker.crash``, or was
+    SIGKILLed by the stall check.  ``crashes`` counts how many times
+    this experiment's process died; an experiment that reaches the
+    quarantine bound is recorded with this error (classified
     ``worker-crash``) and skipped so the campaign can finish.  The
     status is not final: ``--resume`` retries quarantined experiments.
     """

@@ -22,22 +22,22 @@ Modes
 Process-level chaos sites
 -------------------------
 The ``worker.*`` sites are different in kind: instead of raising, they
-misbehave at the *process* level, exercising the supervised campaign
-executor (:mod:`repro.resilience.supervisor`).  They only fire inside
+misbehave at the *process* level, exercising the ``--jobs`` campaign
+executor (:mod:`repro.resilience.parallel`).  They only fire inside
 ``--jobs`` worker processes (serial campaigns never visit them), and
 the ``mode`` field is ignored — the site name determines the behaviour:
 
 ``worker.crash``
     ``os._exit`` the worker immediately (a segfault/OOM-kill stand-in);
-    the parent observes a broken pool, rebuilds it, and resubmits or
-    quarantines the job.
+    the parent sees the process exit without a result, and resubmits or
+    quarantines that experiment.
 ``worker.stall``
-    Suppress the worker's heartbeat and sleep, wedged, until the
-    parent's stall detector SIGKILLs it (a bounded backstop exit keeps
-    detection-disabled runs from hanging forever).
+    Stop the worker's beats and sleep, wedged, until the parent's stall
+    check SIGKILLs it (a bounded backstop exit keeps detection-disabled
+    runs from hanging forever).
 ``worker.slow``
     Sleep ``WORKER_SLOW_S`` and continue normally — latency injection
-    for backpressure and ETA behaviour, not a failure.
+    for completion order and ETA behaviour, not a failure.
 
 Disk fault sites
 ----------------
@@ -96,6 +96,16 @@ KNOWN_SITES = (
 #: to reorder completions against healthy workers.
 WORKER_SLOW_S = 0.25
 
+#: Exit code a worker uses when an injected ``worker.crash`` fires, and
+#: when a stalled worker gives up waiting to be killed.
+WORKER_CRASH_EXIT = 113
+
+#: How long an injected ``worker.stall`` stays wedged before exiting on
+#: its own.  The parent's stall check kills the worker long before
+#: this; the backstop only bounds test and CI hangs when stall detection
+#: is disabled.
+STALL_BACKSTOP_S = 30.0
+
 MODES = ("fail", "fail-hard", "timeout", "interrupt")
 
 
@@ -112,22 +122,12 @@ class ArmedFault:
     def fire(self, **context: Any) -> None:
         message = self.message or f"injected {self.mode} at {self.site}"
         if self.site == "worker.crash":
-            # Imported here: the supervisor imports nothing from this
-            # module, but keeping the constant there names the protocol.
-            from repro.resilience.supervisor import WORKER_CRASH_EXIT
-
             os._exit(WORKER_CRASH_EXIT)
         if self.site == "worker.stall":
-            from repro.resilience.supervisor import (
-                STALL_BACKSTOP_S,
-                WORKER_CRASH_EXIT,
-                suppress_heartbeat,
-            )
+            from repro.resilience.parallel import stop_beats
 
-            suppress_heartbeat()
-            deadline = time.monotonic() + STALL_BACKSTOP_S
-            while time.monotonic() < deadline:
-                time.sleep(0.05)  # wedged: waiting for the SIGKILL
+            stop_beats()
+            time.sleep(STALL_BACKSTOP_S)  # wedged: waiting for the SIGKILL
             os._exit(WORKER_CRASH_EXIT)  # backstop when detection is off
         if self.site == "worker.slow":
             time.sleep(WORKER_SLOW_S)

@@ -1,77 +1,63 @@
 """Parallel campaign execution: ``repro-experiments --jobs N``.
 
-Shards the remaining experiments of a campaign across worker processes
-while keeping every observable output — the run manifest, the
-per-experiment result files, the summary table, the exit code —
-byte-identical to a serial run (timestamps and ``elapsed_s`` aside).
-The parent keeps sole ownership of everything stateful:
+Every remaining experiment runs in its own forked process, at most
+``--jobs`` at a time, and its record comes back to the one campaign
+loop (:func:`repro.resilience.campaign._run_campaign`) in *plan order*,
+through a reorder buffer over completion order.  So the run manifest,
+the per-experiment records, the summary table and the exit code are
+byte-identical to a serial run (timestamps and ``elapsed_s`` aside),
+and checkpoints, fail-fast, the circuit breaker and the interrupt flush
+are the serial loop's own.  The parent watches each child through the
+child's own pipe and its process sentinel:
 
-* **Supervision.**  Dispatch goes through
-  :class:`~repro.resilience.supervisor.PoolSupervisor`: a worker death
-  (segfault, OOM kill, injected ``worker.crash``) breaks the pool, and
-  the supervisor rebuilds it and resubmits the orphaned experiments
-  instead of losing them.  An experiment that kills its worker
-  ``max_worker_crashes`` times is *quarantined*: recorded in the
-  manifest as a :class:`~repro.resilience.errors.WorkerCrashError`
-  (classified ``worker-crash``) and skipped, so one poison job cannot
-  sink the campaign — and because quarantine is an ``error`` record,
-  ``--resume`` retries it.  With ``--stall-timeout`` the supervisor
-  also SIGKILLs workers whose heartbeat goes stale and recovers them
-  through the same path.
-* **Backpressure.**  At most ~2x ``--jobs`` experiments are in flight
-  at once; a huge campaign holds a bounded window of futures and
-  buffered results, not one future per planned experiment.
-* **Checkpointing** stays in the parent: worker results are merged in
-  *plan order* (a reorder buffer over completion order) and each one
-  goes through the same :func:`~repro.resilience.campaign._emit_record`
-  path the serial loop uses, so ``checkpoint.write`` faults, atomic
-  manifest updates, and ``--resume`` behave exactly as before.
-* **Fault injection** is budget-chained.  Faults armed at worker-side
-  sites (``exp.before``, ``sim.run``, ``worker.crash``, ...) are
-  exported to the workers; while any budget remains, experiments are
-  dispatched one at a time in plan order with the full remaining
-  budget, and each worker reports back how many times each fault
-  actually fired so the parent can decrement.  A worker that dies
-  cannot report, so the parent charges the ``worker.crash`` /
-  ``worker.stall`` budget itself when it observes the death.  Only when
-  every budget is exhausted does dispatch fan out to the full window.
-* **Failure accounting.**  A worker task that raises without killing
-  its process is recorded with its classified error *and its
-  traceback* — never silently dropped.  ``--max-failures N`` arms a
-  campaign circuit breaker: once N experiments have ended not-passed,
-  dispatch stops (exactly where a serial run would have stopped) and
-  the rest stay pending.
-* **Verification, telemetry, and narration** behave as before: each
-  task carries the campaign's ``--verify`` choice and telemetry flag;
-  worker events and metrics stream back and are grafted into the parent
-  bus; worker narration is buffered and replayed in plan order.
+* **Crashes are charged to the process that died.**  A child that exits
+  without sending its result crashed (segfault, OOM kill, an injected
+  ``worker.crash``); only its experiment is resubmitted, in plan order.
+  An experiment whose process dies ``--max-worker-crashes`` times is
+  *quarantined*: recorded as a
+  :class:`~repro.resilience.errors.WorkerCrashError` (classified
+  ``worker-crash``), an ``error`` record that ``--resume`` retries.
+* **Stalls.**  With ``--stall-timeout S`` each child beats on its pipe
+  every S/4 seconds (clamped to 0.05–1 s), and after every wait the
+  parent SIGKILLs any child whose last beat is older than S; the death
+  is then a crash of kind ``stall``.
+* **Fault budgets chain.**  Faults armed at worker-side sites
+  (``exp.before``, ``sim.run``, ``worker.crash``, ...) ship to the
+  children.  While any budget remains one experiment runs at a time and
+  its payload carries the budgets still left; each child reports how
+  often each fault fired.  A dead child cannot report, so the parent
+  charges the ``worker.crash``/``worker.stall`` budget itself when it
+  sees the death.
+* **Task failures.**  A task that raises outside ``_run_one``, or whose
+  result cannot be sent, becomes a classified ``error`` record carrying
+  its traceback.
+* **Verification, telemetry and narration.**  Each task carries the
+  campaign's ``--verify`` choice and telemetry flag; child events and
+  metrics are grafted into the parent bus and child narration is
+  replayed, at merge time.
 
-An ``interrupt``-mode fault (or a worker pressing the metaphorical
-Ctrl-C) reports back as ``interrupted``; the parent then flushes the
-manifest and exits 130 exactly like the serial path.
+A child reporting ``interrupted`` (an ``interrupt``-mode fault) ends the
+campaign loop exactly as Ctrl-C ends a serial one: the manifest is
+flushed and the campaign exits 130.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
-import traceback as traceback_module
+import traceback
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass
+from multiprocessing.connection import wait
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.obs.config import telemetry_scope
-from repro.obs.exporters import RunTelemetryWriter
 from repro.obs.progress import CampaignReporter
 from repro.obs.telemetry import DISABLED, Telemetry
-from repro.resilience.checkpoint import ExperimentRecord, RunManifest, RunStore
+from repro.resilience.checkpoint import ExperimentRecord
 from repro.resilience.errors import WorkerCrashError, as_experiment_error
 from repro.resilience.faults import FAULTS, fault_point
-from repro.resilience.supervisor import (
-    PoolSupervisor,
-    SupervisedJob,
-    SupervisorPolicy,
-    worker_heartbeat,
-)
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
     from repro.resilience.campaign import CampaignConfig
@@ -88,11 +74,195 @@ PARENT_SITES = (
     "io.corrupt",
 )
 
-#: Worker-process fault sites whose firing the parent must account for
-#: itself (a dead worker reports nothing back).
-CRASH_SITES = ("worker.crash", "worker.stall")
+
+# ----------------------------------------------------------------------
+# The executor: one process per job
+# ----------------------------------------------------------------------
+@dataclass
+class Job:
+    """One unit of work: its plan-order index and what it has cost."""
+
+    index: int
+    experiment_id: str
+    attempts: int = 0
+    crashes: int = 0
+    #: ``perf_counter`` at the first dispatch.
+    started: float = 0.0
 
 
+def _beat_interval(stall_timeout_s: float) -> float:
+    """Seconds between a child's beats: a quarter of the stall timeout,
+    clamped to 0.05–1 s; 0 (no beats) when stall detection is off."""
+    if stall_timeout_s <= 0:
+        return 0.0
+    return min(1.0, max(0.05, stall_timeout_s / 4))
+
+
+#: Set once a child must beat no more: when its outcome is sent, or
+#: when an injected ``worker.stall`` makes it look wedged (:func:`stop_beats`).
+_quiet = threading.Event()
+
+
+def stop_beats() -> None:
+    """Silence this child's beats without killing it."""
+    _quiet.set()
+
+
+def _child(work: Callable[[Any], Any], payload: Any, conn, interval: float) -> None:
+    """A child process: send ``("ok", work(payload))`` up ``conn``, or
+    ``("failed", (exception, traceback text))``; beat (send ``None``)
+    every ``interval`` seconds meanwhile when ``interval`` > 0."""
+    _quiet.clear()
+    lock = threading.Lock()
+
+    def send(message: tuple) -> None:
+        with lock:
+            _quiet.set()
+            conn.send(message)
+
+    def beat() -> None:
+        while not _quiet.wait(interval):
+            with lock:
+                if not _quiet.is_set():
+                    conn.send(None)
+
+    if interval > 0:
+        threading.Thread(target=beat, name="repro-beat", daemon=True).start()
+    try:
+        send(("ok", work(payload)))
+    except BaseException as exc:  # noqa: B036 — report it, whatever it is
+        text = "".join(
+            traceback.format_exception(type(exc), exc, exc.__traceback__)
+        ).strip()
+        try:
+            send(("failed", (exc, text)))
+        except Exception:  # the exception itself does not pickle
+            send(("failed", (RuntimeError(f"{type(exc).__name__}: {exc}"), text)))
+
+
+def _context() -> multiprocessing.context.BaseContext:
+    """Prefer ``fork``: a child inherits the loaded modules, so any
+    runner the parent can call runs in the child too."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
+
+
+@dataclass
+class _Running:
+    job: Job
+    process: multiprocessing.process.BaseProcess
+    last_beat: float
+    killed: bool = False
+
+
+def run_jobs(
+    jobs: list[Job],
+    work: Callable[[Any], Any],
+    payload: Callable[[Job], Any],
+    *,
+    max_jobs: int,
+    max_crashes: int,
+    stall_timeout_s: float = 0.0,
+    solo: Callable[[], bool] = lambda: False,
+    on_crash: Callable[[Job, str], None] = lambda job, kind: None,
+) -> Iterator[tuple[Job, str, Any]]:
+    """Run each job in its own process; yield outcomes in plan order.
+
+    ``payload(job)`` is built in the parent for every attempt and passed
+    to ``work`` in the child.  Each job yields one ``(job, kind, value)``:
+
+    * ``"ok"`` — ``value`` is what ``work`` returned;
+    * ``"failed"`` — ``work`` raised or its result could not be sent;
+      ``value`` is ``(exception, traceback text)``;
+    * ``"quarantined"`` — the job's process died ``max_crashes`` times;
+      ``value`` is the last death's kind, ``"crash"`` or ``"stall"``.
+
+    ``on_crash(job, kind)`` hears of every death when it happens.  At
+    most ``max_jobs`` processes are alive at once, and one while
+    ``solo()`` is true.  Jobs dispatch in plan order, a resubmitted job
+    ahead of later ones, and an outcome is yielded before anything more
+    is dispatched, so ``solo()`` and ``payload`` see what the consumer
+    made of it.  Closing the generator kills whatever still runs.
+    """
+    context = _context()
+    interval = _beat_interval(stall_timeout_s)
+    pending = list(jobs)
+    running: dict[Any, _Running] = {}  # keyed by the read end of its pipe
+    finished: dict[int, tuple[Job, str, Any]] = {}
+    cursor = 0
+
+    def start(job: Job) -> None:
+        job.attempts += 1
+        if job.attempts == 1:
+            job.started = time.perf_counter()
+        reader, writer = context.Pipe(duplex=False)
+        process = context.Process(
+            target=_child, args=(work, payload(job), writer, interval)
+        )
+        process.start()
+        writer.close()  # the child's copy is now the only write end
+        running[reader] = _Running(job, process, time.monotonic())
+
+    def settle(reader, outcome: tuple | None) -> None:
+        """Reap a child; no outcome means it died without one."""
+        entry = running.pop(reader)
+        reader.close()
+        entry.process.join()
+        job = entry.job
+        if outcome is not None:
+            finished[job.index] = (job, *outcome)
+            return
+        job.crashes += 1
+        kind = "stall" if entry.killed else "crash"
+        on_crash(job, kind)
+        if job.crashes >= max_crashes:
+            finished[job.index] = (job, "quarantined", kind)
+        else:
+            pending.append(job)
+            pending.sort(key=lambda queued: queued.index)
+
+    try:
+        while cursor < len(jobs):
+            if jobs[cursor].index in finished:
+                yield finished.pop(jobs[cursor].index)
+                cursor += 1
+                continue
+            limit = 1 if solo() else max_jobs
+            while pending and len(running) < limit:
+                start(pending.pop(0))
+            sentinels = {e.process.sentinel: r for r, e in running.items()}
+            ready = wait([*running, *sentinels], timeout=interval or None)
+            now = time.monotonic()
+            for reader in {sentinels.get(handle, handle) for handle in ready}:
+                entry = running[reader]
+                # Alive before reading: a child that exits after this
+                # check is seen on the next wait, with all it sent.
+                alive = entry.process.is_alive()
+                entry.last_beat = now
+                outcome = None
+                try:
+                    while outcome is None and reader.poll():
+                        outcome = reader.recv()  # None is a beat
+                except (EOFError, OSError):
+                    alive = False  # the write end closed: the child is gone
+                if outcome is not None or not alive:
+                    settle(reader, outcome)
+            if interval:
+                for entry in running.values():
+                    if not entry.killed and now - entry.last_beat > stall_timeout_s:
+                        entry.killed = True
+                        entry.process.kill()
+    finally:
+        for reader, entry in running.items():
+            entry.process.kill()
+            entry.process.join()
+            reader.close()
+
+
+# ----------------------------------------------------------------------
+# The campaign's side: experiments as jobs
+# ----------------------------------------------------------------------
 class _BufferReporter:
     """Captures a worker's narration for plan-order replay in the parent.
 
@@ -121,16 +291,15 @@ def _execute_experiment(task: dict[str, Any]) -> dict[str, Any]:
     Reconstructs the campaign environment the serial driver would give
     the experiment — armed faults, the verify switch, a private
     telemetry handle — runs it through the usual fault-point/watchdog/
-    retry stack under the supervisor's heartbeat protocol, and returns
-    a picklable result: the experiment record, buffered narration,
-    drained telemetry, and per-site fault-fire counts (for the parent's
-    budget chaining).
+    retry stack, and returns a picklable result: the experiment record,
+    buffered narration, drained telemetry, and per-site fault-fire
+    counts (for the parent's budget chaining).
     """
     from repro.resilience.campaign import CampaignConfig, _run_one
 
     experiment_id = task["experiment_id"]
-    # The pool may fork us with the parent's armed faults (or a previous
-    # task's leftovers) in module state; the task's spec is authoritative.
+    # A forked child inherits the parent's armed (parent-side) faults;
+    # the task's spec is authoritative.
     FAULTS.reset()
     armed = {
         spec["site"]: FAULTS.arm(
@@ -159,34 +328,24 @@ def _execute_experiment(task: dict[str, Any]) -> dict[str, Any]:
         verify_scope = verification(task["verify"])
     from repro.trace.store import open_trace_store, trace_store_scope
 
-    # Workers share the parent's store directory: object writes are
-    # atomic-and-idempotent and index lines collapse by digest on
-    # replay, so concurrent populate races are benign (see TraceStore).
-    traces_scope = trace_store_scope(open_trace_store(task.get("trace_store")))
-
-    on_beat = None
-    if obs.enabled:
-        beat_tid = obs.bus.new_tid()  # own lane: the beat thread races lane 0
-
-        def on_beat() -> None:
-            obs.bus.instant(
-                "worker.heartbeat", tid=beat_tid, experiment=experiment_id
-            )
+    # Workers share the parent's store directory: each writer publishes
+    # an object whole from its own tmp file, and an object's bytes are a
+    # function of its key, so concurrent populate races are benign.
+    traces_scope = trace_store_scope(open_trace_store(task["trace_store"]))
 
     reporter = _BufferReporter()
     record: ExperimentRecord | None = None
     interrupted = False
-    with worker_heartbeat(task, on_beat=on_beat):
-        # Process-level chaos sites fire before the experiment proper:
-        # a crash/stall here is what the supervisor must recover from.
-        fault_point("worker.slow", experiment_id=experiment_id)
-        fault_point("worker.stall", experiment_id=experiment_id)
-        fault_point("worker.crash", experiment_id=experiment_id)
-        try:
-            with verify_scope, telemetry_scope(obs), traces_scope:
-                record = _run_one(config, experiment_id, task["runner"], reporter, obs)
-        except KeyboardInterrupt:
-            interrupted = True
+    # Process-level chaos sites fire before the experiment proper: a
+    # crash or stall here is what the parent must recover from.
+    fault_point("worker.slow", experiment_id=experiment_id)
+    fault_point("worker.stall", experiment_id=experiment_id)
+    fault_point("worker.crash", experiment_id=experiment_id)
+    try:
+        with verify_scope, telemetry_scope(obs), traces_scope:
+            record = _run_one(config, experiment_id, task["runner"], reporter, obs)
+    except KeyboardInterrupt:
+        interrupted = True
 
     events: list[dict[str, Any]] = []
     metrics: dict[str, Any] = {}
@@ -194,12 +353,7 @@ def _execute_experiment(task: dict[str, Any]) -> dict[str, Any]:
         obs.bus.close_all()
         events = obs.bus.drain()
         metrics = obs.metrics.as_dict()
-    fired = {
-        site: fault.triggered for site, fault in armed.items() if fault.triggered
-    }
-    FAULTS.reset()
     return {
-        "experiment_id": experiment_id,
         "record": record.to_dict() if record is not None else None,
         # The profile payload rides beside the record dict, mirroring how
         # the store persists it beside (not inside) the result file.
@@ -207,17 +361,11 @@ def _execute_experiment(task: dict[str, Any]) -> dict[str, Any]:
         "messages": reporter.messages,
         "events": events,
         "metrics": metrics,
-        "fired": fired,
+        "fired": {
+            site: fault.triggered for site, fault in armed.items() if fault.triggered
+        },
         "interrupted": interrupted,
     }
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer ``fork``: workers inherit loaded modules, so any runner the
-    parent can call is callable in the worker too."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
 
 
 def _graft_events(
@@ -280,47 +428,36 @@ def _graft_events(
 
 def run_parallel(
     config: "CampaignConfig",
-    manifest: RunManifest,
-    store: RunStore,
+    plan: list[tuple[int, str]],
+    total: int,
     reporter: CampaignReporter,
     runner: Callable,
     obs: Telemetry,
-    writer: RunTelemetryWriter | None,
-    persist: bool,
-) -> bool:
-    """Execute the campaign's remaining experiments across workers.
+) -> Iterator[tuple[int, ExperimentRecord]]:
+    """The ``--jobs`` source of the campaign loop.
 
-    Returns ``True`` if the campaign was interrupted (worker-side
-    ``interrupt`` fault or parent SIGINT); the caller turns that into
-    the usual flush-and-exit-130 path.  Everything else — checkpoints,
-    narration, fail-fast, crash recovery, quarantine, the circuit
-    breaker — happens here through the same helpers the serial loop
-    uses, in plan order.
+    Yields ``(index, record)`` for each ``(index, experiment id)`` of
+    ``plan``, in plan order, each experiment run in its own process; a
+    worker's ``interrupted`` report raises ``KeyboardInterrupt`` here,
+    as Ctrl-C does in the serial source.
     """
-    from repro.resilience.campaign import _emit_record
-
-    remaining = manifest.remaining()
-    total = len(manifest.ids)
-    done_before = total - len(remaining)
-
     # Budget-chained fault handoff: parent-side sites stay armed here;
-    # everything else ships to workers, one solo dispatch at a time
-    # while any budget remains (see the module docstring).
+    # everything else ships to workers (see the module docstring).
     specs = FAULTS.export(exclude=PARENT_SITES)
     budgets = {spec["site"]: spec["times"] for spec in specs}
     for spec in specs:
         FAULTS.disarm(spec["site"])
+    shipped: dict[int, list[str]] = {}
 
-    def live_specs() -> list[dict[str, Any]]:
-        return [
+    def payload(job: Job) -> dict[str, Any]:
+        faults = [
             {**spec, "times": budgets[spec["site"]]}
             for spec in specs
             if budgets[spec["site"]] > 0
         ]
-
-    def make_task(experiment_id: str, faults: list[dict[str, Any]]) -> dict[str, Any]:
+        shipped[job.index] = [spec["site"] for spec in faults]
         return {
-            "experiment_id": experiment_id,
+            "experiment_id": job.experiment_id,
             "quick": config.quick,
             "timeout_s": config.timeout_s,
             "retry": config.retry,
@@ -332,33 +469,11 @@ def run_parallel(
             "runner": runner,
         }
 
-    def chained_payload(job: SupervisedJob) -> dict[str, Any]:
-        """Phase-1 payload: ships the live fault budgets of the moment."""
-        shipped = live_specs()
-        job.meta["shipped"] = [spec["site"] for spec in shipped]
-        job.meta.setdefault("started_at", time.perf_counter())
-        return make_task(job.experiment_id, shipped)
-
-    def plain_payload(job: SupervisedJob) -> dict[str, Any]:
-        """Phase-2 payload: every budget is spent, nothing to ship."""
-        job.meta["shipped"] = []
-        job.meta.setdefault("started_at", time.perf_counter())
-        return make_task(job.experiment_id, [])
-
-    interrupted = False
-    stop = False
-    failures = 0
-
-    def job_elapsed(job: SupervisedJob) -> float:
-        started = job.meta.get("started_at")
-        return time.perf_counter() - started if started is not None else 0.0
-
-    def on_crash(job: SupervisedJob, kind: str) -> None:
-        """A worker died mid-job (before quarantine is decided)."""
+    def on_crash(job: Job, kind: str) -> None:
         # The dead worker could not report its fault fires; if we shipped
-        # it a crash-site budget, the death *is* the fire — charge it.
-        site = "worker.stall" if kind == "stall" else "worker.crash"
-        if site in budgets and budgets[site] > 0 and site in job.meta.get("shipped", ()):
+        # it a budget for this site, the death *is* the fire — charge it.
+        site = f"worker.{kind}"
+        if budgets.get(site, 0) > 0 and site in shipped[job.index]:
             budgets[site] -= 1
             FAULTS.fired_total += 1
         reporter.worker_crash(
@@ -375,39 +490,11 @@ def run_parallel(
                 crashes=job.crashes,
             )
 
-    def record_failures(record: ExperimentRecord) -> None:
-        """Feed the circuit breaker; trips exactly at --max-failures."""
-        nonlocal failures, stop
-        if record.status == "passed":
-            return
-        failures += 1
-        if config.fail_fast:
-            stop = True
-        elif config.max_failures and failures >= config.max_failures:
-            reporter.circuit_breaker(failures, config.max_failures)
-            if obs.enabled:
-                obs.instant("campaign.circuit_breaker", failures=failures)
-            stop = True
-
-    def merge_one(job: SupervisedJob, kind: str, value: Any) -> None:
-        """Fold one terminal outcome into the campaign, serial-style."""
-        nonlocal interrupted
-        index = job.index
+    def record_of(job: Job, kind: str, value: Any) -> ExperimentRecord:
+        """Fold one outcome into the parent and return its record."""
         experiment_id = job.experiment_id
-        reporter.start_experiment(experiment_id, index, total)
+        elapsed_s = time.perf_counter() - job.started
         if kind == "quarantined":
-            record = ExperimentRecord.from_error(
-                experiment_id,
-                WorkerCrashError(
-                    f"worker process died {job.crashes} time(s) running this "
-                    "experiment; quarantined",
-                    experiment_id=experiment_id,
-                    crashes=job.crashes,
-                    kind=value,
-                ),
-                job_elapsed(job),
-                attempts=job.attempts,
-            )
             reporter.quarantine(experiment_id, job.crashes)
             if obs.enabled:
                 obs.metrics.counter("supervisor.quarantined").inc()
@@ -417,128 +504,63 @@ def run_parallel(
                     crashes=job.crashes,
                     kind=value,
                 )
-            _emit_record(
-                config, store, manifest, reporter, obs, writer, persist,
-                record, index, total,
-            )
-            record_failures(record)
-            return
-        if kind == "failed":
-            # The task raised without killing its worker (result
-            # unpicklable, harness bug, ...): classify it and keep the
-            # traceback instead of dropping both on the floor.
-            exc = value
-            record = ExperimentRecord.from_error(
+            return ExperimentRecord.from_error(
                 experiment_id,
-                as_experiment_error(exc, experiment_id),
-                job_elapsed(job),
+                WorkerCrashError(
+                    f"worker process died {job.crashes} time(s) running this "
+                    "experiment; quarantined",
+                    experiment_id=experiment_id,
+                    crashes=job.crashes,
+                    kind=value,
+                ),
+                elapsed_s,
+                attempts=job.attempts,
             )
-            if record.error is not None:
-                record.error["traceback"] = "".join(
-                    traceback_module.format_exception(type(exc), exc, exc.__traceback__)
-                ).strip()
-            _emit_record(
-                config, store, manifest, reporter, obs, writer, persist,
-                record, index, total,
+        if kind == "failed":
+            exc, text = value
+            record = ExperimentRecord.from_error(
+                experiment_id, as_experiment_error(exc, experiment_id), elapsed_s
             )
-            record_failures(record)
-            return
-        result = value
-        for site, count in result["fired"].items():
+            record.error["traceback"] = text
+            return record
+        for site, count in value["fired"].items():
             if site in budgets:
                 budgets[site] = max(0, budgets[site] - count)
             # Mirror the serial invariant: fired_total counts every
             # injected fire in the campaign, wherever it ran.
             FAULTS.fired_total += count
-        for method, message in result["messages"]:
+        for method, message in value["messages"]:
             getattr(reporter, method)(message)
-        if result["interrupted"]:
-            _graft_events(obs, experiment_id, config.quick, None, result["events"])
-            if result["metrics"]:
-                obs.metrics.merge_payload(result["metrics"])
-            interrupted = True
-            manifest.interrupted = True
-            if persist:
-                store.save(manifest)
-            return
-        record = ExperimentRecord.from_dict(result["record"])
-        record.profile = result.get("profile")
-        _graft_events(obs, experiment_id, config.quick, record, result["events"])
-        if result["metrics"]:
-            obs.metrics.merge_payload(result["metrics"])
-        _emit_record(
-            config, store, manifest, reporter, obs, writer, persist,
-            record, index, total,
-        )
-        record_failures(record)
+        record = None
+        if not value["interrupted"]:
+            record = ExperimentRecord.from_dict(value["record"])
+            record.profile = value["profile"]
+        _graft_events(obs, experiment_id, config.quick, record, value["events"])
+        if value["metrics"]:
+            obs.metrics.merge_payload(value["metrics"])
+        if record is None:
+            raise KeyboardInterrupt(f"{experiment_id} was interrupted")
+        return record
 
-    # Reorder buffer: outcomes arrive in completion order and merge
-    # strictly in plan order, exactly as a serial run would emit them.
-    buffered: dict[int, tuple[SupervisedJob, str, Any]] = {}
-    next_index = done_before + 1
-
-    def on_outcome(job: SupervisedJob, kind: str, value: Any) -> None:
-        nonlocal next_index
-        buffered[job.index] = (job, kind, value)
-        while next_index in buffered and not (interrupted or stop):
-            merge_one(*buffered.pop(next_index))
-            next_index += 1
-
-    def should_abort() -> bool:
-        return interrupted or stop
-
-    supervisor = PoolSupervisor(
+    jobs = [Job(index, experiment_id) for index, experiment_id in plan]
+    outcomes = run_jobs(
+        jobs,
         _execute_experiment,
-        SupervisorPolicy(
-            jobs=config.jobs,
-            max_worker_crashes=config.max_worker_crashes,
-            stall_timeout_s=config.stall_timeout_s,
-        ),
-        mp_context=_pool_context(),
+        payload,
+        max_jobs=config.jobs,
+        max_crashes=config.max_worker_crashes,
+        stall_timeout_s=config.stall_timeout_s,
+        # Budgets drain in plan order, as in a serial run, only if the
+        # experiments that may spend them run one at a time.
+        solo=lambda: any(budgets.values()),
         on_crash=on_crash,
-        hb_dir=store.run_dir(manifest.run_id) / ".hb" if persist else None,
     )
-    position = 0  # next entry of ``remaining`` to dispatch
     try:
-        # Phase 1 — solo dispatch while worker-side fault budget
-        # remains, so budgets drain in plan order exactly as serial.
-        while (
-            position < len(remaining)
-            and any(budgets.values())
-            and not (interrupted or stop)
-        ):
-            job = SupervisedJob(
-                index=done_before + position + 1,
-                experiment_id=remaining[position],
-            )
-            position += 1
-            supervisor.run(
-                [job], chained_payload, on_outcome,
-                window=1, should_abort=should_abort,
-            )
-
-        # Phase 2 — fan out over a bounded in-flight window (~2x jobs);
-        # the reorder buffer still merges strictly in plan order.
-        fanout = [
-            SupervisedJob(
-                index=done_before + offset + 1, experiment_id=remaining[offset]
-            )
-            for offset in range(position, len(remaining))
-        ]
-        if fanout and not (interrupted or stop):
-            supervisor.run(
-                fanout, plain_payload, on_outcome, should_abort=should_abort
-            )
-    except KeyboardInterrupt:
-        interrupted = True
-        manifest.interrupted = True
-        if persist:
-            store.save(manifest)
-        supervisor.shutdown(wait_for_workers=False)
-        return interrupted
+        for job, kind, value in outcomes:
+            reporter.start_experiment(job.experiment_id, job.index, total)
+            yield job.index, record_of(job, kind, value)
     finally:
-        if obs.enabled and supervisor.crashes:
-            obs.metrics.gauge("supervisor.rebuilds").set(supervisor.rebuilds)
-            obs.metrics.gauge("supervisor.crashes_total").set(supervisor.crashes)
-    supervisor.shutdown(wait_for_workers=True)
-    return interrupted
+        outcomes.close()
+        crashes = sum(job.crashes for job in jobs)
+        if obs.enabled and crashes:
+            obs.metrics.gauge("supervisor.crashes_total").set(crashes)

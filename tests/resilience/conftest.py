@@ -16,7 +16,7 @@ def clean_faults():
 def plenty_of_cpus(monkeypatch):
     """Make the --jobs auto-degrade gate see a multi-core host.
 
-    The parallel/chaos/supervision tests exercise real worker pools and
+    The parallel/chaos/supervision tests exercise real worker processes and
     must keep doing so on single-CPU CI runners, where the campaign
     would otherwise (correctly) degrade to the serial loop.  The degrade
     decision itself is tested explicitly by patching this back down.

@@ -358,17 +358,6 @@ class TestTmpSweep:
 
 
 class TestSupervisorHeartbeatDir:
-    def test_explicit_hb_dir_is_used_and_cleaned(self, tmp_path):
-        from repro.resilience.supervisor import PoolSupervisor, SupervisorPolicy
-
-        hb_dir = tmp_path / "runs" / "r1" / ".hb"
-        supervisor = PoolSupervisor(
-            ok_runner, SupervisorPolicy(jobs=1), hb_dir=hb_dir
-        )
-        assert hb_dir.is_dir()
-        supervisor.shutdown()
-        assert not hb_dir.exists()
-
     def test_parallel_campaign_leaves_no_heartbeat_dir(self, tmp_path):
         config = CampaignConfig(
             ids=["e0", "e1"],

@@ -1,10 +1,10 @@
 """The --jobs auto-degrade gate on effectively single-CPU hosts.
 
-A worker pool on one CPU cannot overlap any compute, so its process
+Worker processes on one CPU cannot overlap any compute, so their
 overhead only slows the campaign (BENCH_sim records the regression).
-The gate downgrades to the serial loop, narrates why, and leaves the
+The gate downgrades to in-process runs, narrates why, and leaves the
 campaign's observable results identical; ``--force-parallel`` keeps the
-pool regardless.  The resilience suite's autouse ``plenty_of_cpus``
+workers regardless.  The resilience suite's autouse ``plenty_of_cpus``
 fixture pins an 8-CPU view, so each test here patches the count back
 down explicitly.
 """
@@ -46,7 +46,7 @@ class TestAutoDegrade:
         monkeypatch.setattr(campaign_mod, "_effective_cpus", lambda: 1)
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("worker pool must not start on 1 CPU")
+            raise AssertionError("worker processes must not start on 1 CPU")
 
         monkeypatch.setattr(
             "repro.resilience.parallel.run_parallel", no_pool
@@ -87,9 +87,9 @@ class TestAutoDegrade:
     def test_multi_cpu_host_keeps_pool(self, tmp_path, monkeypatch):
         calls = []
 
-        def fake_pool(config, manifest, store, reporter, runner, *rest):
+        def fake_pool(config, *rest):
             calls.append(config.jobs)
-            return False  # not interrupted; records filled by caller resume
+            yield from ()  # a source of no records
 
         monkeypatch.setattr(
             "repro.resilience.parallel.run_parallel", fake_pool
@@ -105,9 +105,9 @@ class TestAutoDegrade:
         monkeypatch.setattr(campaign_mod, "_effective_cpus", lambda: 1)
         calls = []
 
-        def fake_pool(config, manifest, store, reporter, runner, *rest):
+        def fake_pool(config, *rest):
             calls.append(config.jobs)
-            return False
+            yield from ()
 
         monkeypatch.setattr(
             "repro.resilience.parallel.run_parallel", fake_pool

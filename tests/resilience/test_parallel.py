@@ -11,6 +11,7 @@ Runners live at module level so worker processes can unpickle them.
 
 import io
 import json
+import threading
 
 import pytest
 
@@ -319,15 +320,22 @@ class TestCircuitBreaker:
 # ----------------------------------------------------------------------
 # Worker-side failures are captured, classified, and tracebacked
 # ----------------------------------------------------------------------
+def _unsendable_runner(experiment_id, quick=False):
+    result = make_result(experiment_id)
+    result.check("detail cannot be pickled", True, threading.Lock())
+    return result
+
+
 class TestWorkerFailureCapture:
     def test_undispatchable_task_classified_with_traceback(self, tmp_path):
-        # A lambda runner cannot be pickled into the worker; the dispatch
-        # failure used to be swallowed as a silent None result.  It must
-        # surface as a classified record carrying the real traceback.
+        # A result that cannot be pickled back to the parent (here a
+        # check detail holding a lock) used to be swallowed as a silent
+        # None result.  It must surface as a classified record carrying
+        # the real traceback.
         config = CampaignConfig(
             ids=["a", "b"], runs_dir=str(tmp_path), run_id="r", jobs=2
         )
-        code, _, err = run(config, runner=lambda experiment_id, quick=False: None)
+        code, _, err = run(config, runner=_unsendable_runner)
         assert code == EXIT_FAILED
         payload = manifest_payload(tmp_path, "r")
         assert sorted(payload["records"]) == ["a", "b"]

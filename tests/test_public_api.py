@@ -1,5 +1,10 @@
 """The documented public API surface stays importable and coherent."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -84,3 +89,26 @@ class TestSubpackageApis:
         from repro.trace.dinero import main
 
         assert callable(main)
+
+    def test_import_leaves_the_jobs_executor_unloaded(self):
+        # The --jobs executor (and the multiprocessing it pulls in) loads
+        # only when a campaign asks for workers: `import repro` needs the
+        # exception types and nothing that runs a campaign.
+        code = (
+            "import json, sys, repro; "
+            "print(json.dumps([m for m in sys.modules if m.startswith('repro.resilience')]))"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert set(json.loads(loaded)) <= {
+            "repro.resilience",
+            "repro.resilience.checkpoint",
+            "repro.resilience.errors",
+            "repro.resilience.faults",
+            "repro.resilience.retry",
+        }
