@@ -12,7 +12,16 @@ through the naive per-line list-based reference model
 (:mod:`repro.cache.reference`), fed the same lines as lists of ints,
 that the golden-equivalence suite pins it to.  The optimized kernel must be at least ``KERNEL_SPEEDUP_MIN``
 times faster — and must not regress more than 20% against the speedup
-committed in ``BENCH_sim.json``.
+committed in ``BENCH_sim.json``.  The full-size R8000's 16,384-line L2
+never reaches the set-associative array path, so ``l2_kernel`` times
+that path on its own: the L2 batches of one quick table-3 threaded run
+on the scaled R8000 (256 lines, 4-way: the level ``warm-tables``
+replays), under the same two gates.
+
+Each ratio's two sides are timed in turn within every repeat (the
+optimized kernel, the reference and the stored replay share their
+rounds), so a slow phase of a shared host hits both sides of a ratio
+instead of one.
 
 **Profiling-off cost.**  With no sidecar attached a hierarchy's
 ``access_data`` *is* the uninstrumented class method — attaching an
@@ -52,7 +61,8 @@ under a live :class:`~repro.obs.telemetry.Telemetry`, as saved
 campaigns do: it must take the vectorized path with byte-identical
 statistics, and its speedup is recorded, not gated.
 
-Timing discipline: min-of-N wall clock (noise only ever adds time).
+Timing discipline: min-of-N wall clock (noise only ever adds time),
+with the sides of each ratio interleaved.
 """
 
 from __future__ import annotations
@@ -63,6 +73,7 @@ import os
 import tempfile
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +82,7 @@ from repro.apps.matmul.config import MatmulConfig
 from repro.apps.matmul.programs import threaded
 from repro.cache.classify import ClassifyingCache
 from repro.cache.reference import ReferenceClassifyingCache
+from repro.exp.base import r8000_scaled
 from repro.machine import r8000
 from repro.obs.profile import LocalityProfiler, ProfileCollector, collector_scope
 from repro.obs.telemetry import Telemetry
@@ -119,42 +131,65 @@ CAMPAIGN_JOBS = 4
 TRACE_N = 64
 
 
-def capture_l1d_trace() -> list[tuple[np.ndarray, dict]]:
-    """One table-3 simulation with every L1D ``process`` batch recorded
-    as the kernel got it: the recorder's int64 lines array and the
-    keyword arguments (the hierarchy passes a batch's reference total
-    as ``accesses``, not its run lengths)."""
+def capture_batches(
+    machine, config: MatmulConfig, level: str
+) -> list[tuple[np.ndarray, dict]]:
+    """One threaded matmul simulation on ``machine`` with every
+    ``process`` batch of the ``level`` cache recorded as the kernel got
+    it: the int64 lines array and the keyword arguments (the hierarchy
+    passes an L1D batch's reference total as ``accesses``, not its run
+    lengths)."""
     batches: list[tuple[np.ndarray, dict]] = []
     original = ClassifyingCache.process
 
     def recording(self, lines, counts=None, **kwargs):
-        if self.config.name == "L1D":
+        if self.config.name == level:
             assert counts is None
             batches.append((lines, kwargs))
         return original(self, lines, counts, **kwargs)
 
     ClassifyingCache.process = recording
     try:
-        Simulator(r8000()).run(
-            threaded(MatmulConfig(n=TRACE_N)), name="bench_capture"
-        )
+        Simulator(machine).run(threaded(config), name="bench_capture")
     finally:
         ClassifyingCache.process = original
     return batches
 
 
-def replay_seconds(factory, batches) -> float:
-    """Min-of-N time to feed ``batches``, (lines, keyword arguments)
-    pairs, to a fresh ``factory`` cache of the R8000's L1D."""
-    best = float("inf")
-    config = r8000().l1d
-    for _ in range(KERNEL_REPEATS):
-        cache = factory(config)
-        started = time.perf_counter()
-        for lines, kwargs in batches:
-            cache.process(lines, **kwargs)
-        best = min(best, time.perf_counter() - started)
+def feed_seconds(factory, config, batches) -> float:
+    """Seconds to feed ``batches``, (lines, keyword arguments) pairs, to
+    a fresh ``factory`` cache of ``config``."""
+    cache = factory(config)
+    started = time.perf_counter()
+    for lines, kwargs in batches:
+        cache.process(lines, **kwargs)
+    return time.perf_counter() - started
+
+
+def interleaved_min(timers: dict, repeats: int) -> dict[str, float]:
+    """Min-of-``repeats`` seconds of each timer (a call that returns
+    the seconds of one repeat), the timers taking turns within each
+    round."""
+    best = dict.fromkeys(timers, float("inf"))
+    for _ in range(repeats):
+        for name, timer in timers.items():
+            best[name] = min(best[name], timer())
     return best
+
+
+def kernel_section(trace: str, batches, optimized_s, reference_s) -> dict:
+    lines = sum(len(batch) for batch, _ in batches)
+    return {
+        "trace": trace,
+        "batches": len(batches),
+        "lines": lines,
+        "repeats": KERNEL_REPEATS,
+        "optimized_s": round(optimized_s, 4),
+        "reference_s": round(reference_s, 4),
+        "optimized_lines_per_s": round(lines / optimized_s),
+        "reference_lines_per_s": round(lines / reference_s),
+        "speedup": round(reference_s / optimized_s, 2),
+    }
 
 
 def hierarchy_replay_seconds(batches) -> float:
@@ -191,7 +226,7 @@ def profiled_run_seconds(profiled: bool) -> float:
     return best
 
 
-def stored_replay_profile() -> dict:
+def stored_replay_profile(timers: dict) -> tuple[dict, dict[str, float]]:
     """The stored-replay end of the stage profile.
 
     ``live_s`` is a full :meth:`Simulator.run` (stream generation plus
@@ -201,7 +236,9 @@ def stored_replay_profile() -> dict:
     ``sampled_replay_s`` is the same path under a live ``Telemetry``,
     whose sampler must not cost the vectorized step.  The caller
     splits ``live_s`` into generation and kernel shares using its
-    ``access_data`` replay of the same stream.
+    ``access_data`` replay of the same stream.  ``timers`` take turns
+    with the replay repeats (:func:`interleaved_min`); their min times
+    are returned beside the profile.
     """
     machine = r8000()
     config = MatmulConfig(n=TRACE_N)
@@ -220,15 +257,19 @@ def stored_replay_profile() -> dict:
             live_s = min(live_s, time.perf_counter() - started)
         assert rerun.stats == live.stats
 
-        replay_s = float("inf")
-        for _ in range(REPLAY_REPEATS):
+        def replay_seconds() -> float:
             started = time.perf_counter()
             stored = store.get(key)
             replayed = simulator.replay(stored)
-            replay_s = min(replay_s, time.perf_counter() - started)
-        assert replayed.stats == live.stats
-        assert replayed.time == live.time
-        assert replace(replayed.sched, seq=0) == replace(live.sched, seq=0)
+            elapsed = time.perf_counter() - started
+            assert replayed.stats == live.stats
+            assert replayed.time == live.time
+            assert replace(replayed.sched, seq=0) == replace(live.sched, seq=0)
+            return elapsed
+
+        best = interleaved_min(
+            {"replay": replay_seconds, **timers}, REPLAY_REPEATS
+        )
 
         # replay_into calls replay_stream through the module global once
         # per vectorized replay.
@@ -254,7 +295,8 @@ def stored_replay_profile() -> dict:
         )
         assert sampled.stats == live.stats
         assert sampled.time == live.time
-    return {
+    replay_s = best.pop("replay")
+    profile = {
         "trace": f"table3 threaded matmul (n={TRACE_N}), stored end to end",
         "repeats": REPLAY_REPEATS,
         "live_s": live_s,
@@ -263,6 +305,7 @@ def stored_replay_profile() -> dict:
         "sampled_replay_s": sampled_s,
         "sampled_speedup": live_s / sampled_s,
     }
+    return profile, best
 
 
 def campaign_seconds(jobs: int) -> float:
@@ -297,18 +340,36 @@ def committed(section: str, key: str = "speedup") -> float | None:
 
 
 def test_kernel_and_campaign_throughput():
-    batches = capture_l1d_trace()
-    total_lines = sum(len(lines) for lines, _ in batches)
-
-    optimized_s = replay_seconds(ClassifyingCache, batches)
+    batches = capture_batches(r8000(), MatmulConfig(n=TRACE_N), "L1D")
+    l1d = r8000().l1d
     # The reference model takes its own input form, lists of ints.
-    reference_s = replay_seconds(
-        ReferenceClassifyingCache,
-        [(lines.tolist(), {}) for lines, _ in batches],
-    )
+    reference_batches = [(lines.tolist(), {}) for lines, _ in batches]
+    l2_machine = r8000_scaled(True)
+    l2_batches = capture_batches(l2_machine, MatmulConfig.quick(), "L2")
+    l2_reference_batches = [(lines.tolist(), {}) for lines, _ in l2_batches]
+
+    replay_profile, kernel = stored_replay_profile({
+        "optimized": partial(feed_seconds, ClassifyingCache, l1d, batches),
+        "reference": partial(
+            feed_seconds, ReferenceClassifyingCache, l1d, reference_batches
+        ),
+    })
+    optimized_s, reference_s = kernel["optimized"], kernel["reference"]
     kernel_speedup = reference_s / optimized_s
     baseline_speedup = committed("kernel")
     baseline_replay = committed("replay", "reference_speedup")
+
+    l2 = interleaved_min({
+        "optimized": partial(
+            feed_seconds, ClassifyingCache, l2_machine.l2, l2_batches
+        ),
+        "reference": partial(
+            feed_seconds, ReferenceClassifyingCache, l2_machine.l2,
+            l2_reference_batches,
+        ),
+    }, KERNEL_REPEATS)
+    l2_speedup = l2["reference"] / l2["optimized"]
+    baseline_l2 = committed("l2_kernel")
 
     # Structural profiling-off guarantee: a fresh hierarchy binds the
     # uninstrumented class method; attaching a profiler installs the
@@ -337,7 +398,6 @@ def test_kernel_and_campaign_throughput():
     profiler_on_s = profiled_run_seconds(profiled=True)
     on_factor = profiler_on_s / off_s
 
-    replay_profile = stored_replay_profile()
     replay_speedup = replay_profile["speedup"]
     reference_speedup = reference_s / replay_profile["replay_s"]
 
@@ -357,17 +417,16 @@ def test_kernel_and_campaign_throughput():
 
     payload = {
         "benchmark": "simulator kernel throughput + campaign parallelism",
-        "kernel": {
-            "trace": f"table3 threaded matmul (n={TRACE_N}), R8000 L1D stream",
-            "batches": len(batches),
-            "lines": total_lines,
-            "repeats": KERNEL_REPEATS,
-            "optimized_s": round(optimized_s, 4),
-            "reference_s": round(reference_s, 4),
-            "optimized_lines_per_s": round(total_lines / optimized_s),
-            "reference_lines_per_s": round(total_lines / reference_s),
-            "speedup": round(kernel_speedup, 2),
-        },
+        "kernel": kernel_section(
+            f"table3 threaded matmul (n={TRACE_N}), R8000 L1D stream",
+            batches, optimized_s, reference_s,
+        ),
+        "l2_kernel": kernel_section(
+            "table3 threaded matmul (quick), scaled R8000 L2 stream "
+            f"({l2_machine.l2.num_lines} lines, "
+            f"{l2_machine.l2.associativity}-way)",
+            l2_batches, l2["optimized"], l2["reference"],
+        ),
         "profiling": {
             "trace": (
                 f"table3 threaded matmul (n={TRACE_N}), Simulator.run with "
@@ -442,6 +501,16 @@ def test_kernel_and_campaign_throughput():
         assert kernel_speedup >= floor, (
             f"kernel speedup regressed: {kernel_speedup:.2f}x vs committed "
             f"{baseline_speedup:.2f}x (floor {floor:.2f}x)"
+        )
+    assert l2_speedup >= KERNEL_SPEEDUP_MIN, (
+        f"L2 kernel speedup {l2_speedup:.2f}x below the "
+        f"{KERNEL_SPEEDUP_MIN}x floor"
+    )
+    if baseline_l2 is not None:
+        floor = REGRESSION_FRACTION * baseline_l2
+        assert l2_speedup >= floor, (
+            f"L2 kernel speedup regressed: {l2_speedup:.2f}x vs committed "
+            f"{baseline_l2:.2f}x (floor {floor:.2f}x)"
         )
     assert replay_speedup >= REPLAY_SPEEDUP_MIN, (
         f"stored-trace replay only {replay_speedup:.2f}x faster than live "

@@ -14,30 +14,27 @@ The three classes always sum to the total miss count.
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import repeat
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.cache.config import CacheConfig
 
-#: Smallest batch a direct-mapped cache simulates through the array
-#: path of :meth:`ClassifyingCache.process`; smaller batches take the
-#: dict loop.  Cut into equal slices, the first 1.5M entries of the
-#: seed-1996 ``simbench`` cold-tables L1D stream took 2.06 times the
-#: dict loop's time on the array path at 256 entries a batch, 1.30 at
-#: 512, 0.88 at 1,024 and 0.54 at 4,096 (min of 3, shared 2-CPU host):
-#: below the crossover the array path's per-batch set-up (two sorts,
-#: reading and writing back the sets and the shadow) outweighs the
-#: per-entry work it saves.  A batch the trace recorder cuts at its
-#: threshold holds at least 4,096 entries; only its drains (end of run,
-#: profiler scope changes) can be smaller.
+#: Smallest batch :meth:`ClassifyingCache.process` simulates through
+#: its array path; smaller batches, and batches shorter than the
+#: level's line count, take the dict loop.  Cut into equal slices, the
+#: first 1.5M entries of the seed-1996 ``simbench`` cold-tables L1D
+#: stream took 2.06 times the dict loop's time on the array path at 256
+#: entries a batch, 1.30 at 512, 0.88 at 1,024 and 0.54 at 4,096, and
+#: the cold-tables L2 stream 2.36 times at 512, 1.02 at 1,024, 0.75 at
+#: 2,048 and 0.50 at 4,096 (shared 2-CPU host): below the crossover the
+#: array path's per-batch set-up (its sorts, and :func:`lru_hits`'s
+#: padding to the level's capacity) outweighs the per-entry work it
+#: saves.  A batch the trace recorder cuts at its threshold holds at
+#: least 4,096 entries; only its drains (end of run, profiler scope
+#: changes) can be smaller.
 ARRAY_KERNEL_ENTRIES = 1024
-
-#: Resident line of an empty set in the array path.  Line numbers are
-#: byte addresses shifted right, and the hierarchy rejects negative
-#: lines, so no line equals it.
-EMPTY = -1
 
 
 @dataclass
@@ -93,6 +90,43 @@ def run_heads(lines: np.ndarray) -> np.ndarray:
     return head
 
 
+def stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` for an int64 array, faster.
+
+    A span that fits 16 bits is radix-sorted as uint16 offsets from the
+    minimum.  A wider one sorts the keys ``offset * n + position`` with
+    numpy's default sort: the keys are unique, so any sort returns the
+    stable order, and the default one is several times faster than the
+    stable merge sort.  Only a span too wide for those keys to fit int64
+    takes the stable sort itself.
+    """
+    n = len(values)
+    if not n:
+        return np.empty(0, dtype=np.intp)
+    low = int(values.min())
+    span = int(values.max()) - low
+    if span < 1 << 16:
+        return np.argsort((values - low).astype(np.uint16), kind="stable")
+    if (span + 1) * n <= 1 << 63:
+        return np.argsort((values - low) * n + np.arange(n))
+    return np.argsort(values, kind="stable")
+
+
+def reuse_links(stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each position's previous use of its value (-1 for none) and next
+    use (``len(stream)`` for none), from one stable sort."""
+    total = len(stream)
+    order = stable_order(stream)
+    again = stream[order[1:]] == stream[order[:-1]]
+    earlier = order[:-1][again]
+    later = order[1:][again]
+    previous = np.full(total, -1, dtype=np.int64)
+    previous[later] = earlier
+    following = np.full(total, total, dtype=np.int64)
+    following[earlier] = later
+    return previous, following
+
+
 def lru_hits(
     contents: np.ndarray, lines: np.ndarray, capacity: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -111,16 +145,16 @@ def lru_hits(
     The contents go in front of the stream, below C - k placeholder
     positions when they hold only k < C lines, so the cache always
     holds C lines and evicting a placeholder is filling an empty slot.
-    One stable argsort then gives every access its previous use and
-    every position the next use of its line.  L moves only on an access
-    with p <= L (a miss, or a hit on the LRU line itself), to the next
-    position above it whose line has not been used since.  L always
-    lies at least C positions back (the C lines at or above it are
-    distinct), so an access less than C positions after its previous
-    use (i - p < C) hits above L and never moves it, and only the
-    others reach the Python loop; and L only ever stops at positions
-    whose line then stays unused for at least C accesses, so the loop
-    scans only those.
+    One stable sort (:func:`reuse_links`) then gives every access its
+    previous use and every position the next use of its line.  L moves
+    only on an access with p <= L (a miss, or a hit on the LRU line
+    itself), to the next position above it whose line has not been used
+    since.  L always lies at least C positions back (the C lines at or
+    above it are distinct), so an access less than C positions after
+    its previous use (i - p < C) hits above L and never moves it, and
+    only the others reach the Python loop; and L only ever stops at
+    positions whose line then stays unused for at least C accesses, so
+    the loop scans only those.
     """
     pad = capacity - len(contents)
     total = capacity + len(lines)
@@ -128,16 +162,7 @@ def lru_hits(
     stream[:pad] = np.arange(-pad, 0)
     stream[pad:capacity] = contents
     stream[capacity:] = lines
-    order = np.argsort(stream, kind="stable")
-    ordered = stream[order]
-    again = ordered[1:] == ordered[:-1]
-    earlier = order[:-1][again]
-    later = order[1:][again]
-    never = total + capacity
-    previous = np.full(total, -1, dtype=np.int64)
-    previous[later] = earlier
-    following = np.full(total, never, dtype=np.int64)
-    following[earlier] = later
+    previous, following = reuse_links(stream)
     position = np.arange(total)
 
     candidates = capacity + np.flatnonzero(
@@ -161,61 +186,133 @@ def lru_hits(
 
     hits = np.ones(len(lines), dtype=bool)
     hits[np.array(missed, dtype=np.int64) - capacity] = False
-    kept = np.flatnonzero(following == never)[-capacity:]
+    kept = np.flatnonzero(following == total)[-capacity:]
     return hits, stream[kept[kept >= pad]]
 
 
-def direct_mapped_misses(
-    lines: np.ndarray,
-    shadow_hit: np.ndarray,
-    resident: np.ndarray,
-    set_mask: int,
-    seen: set[int],
-    stats: LevelStats,
+#: Most window positions :func:`window_hits` gathers at once, so its
+#: temporaries stay a few MB however many accesses it counts and however
+#: wide their windows grow: on a 1,024-line fully-associative level, a
+#: 64 Ki-entry batch of random lines over 800 gathered 419 MB at once.
+WINDOW_BLOCK = 1 << 20
+
+
+def last_per_group(keys: np.ndarray, ways: int) -> np.ndarray:
+    """Mask of the last ``ways`` entries of each run of equal ``keys``."""
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[ways:], keys[:-ways], out=keep[:-ways])
+    return keep
+
+
+def window_hits(
+    accesses: np.ndarray, previous: np.ndarray, following: np.ndarray,
+    ways: int,
 ) -> np.ndarray:
-    """Simulate the accesses ``lines`` (non-empty, no two consecutive
-    equal) in a direct-mapped cache; return the missed lines in order.
+    """Whether fewer than ``ways`` distinct lines were used between each
+    access and its previous use, for accesses at least ``ways``
+    positions after it.
 
-    ``resident`` holds each set's line (:data:`EMPTY` for none) and is
-    updated in place; a miss on a line outside the compulsory history
-    ``seen`` is compulsory and joins it, and the other misses split
-    capacity/conflict on ``shadow_hit``, the fully-associative shadow's
-    verdict per access.  The misses and their classes are added to
-    ``stats``.  Live runs pass :func:`lru_hits`'s verdicts
-    (:meth:`ClassifyingCache.process`), replay the stored annotation
-    (:mod:`repro.trace.replay`).
+    A position j between the two holds a distinct line exactly when it
+    is that line's last use before the access, that is, when its next
+    use ``following[j]`` lies after the access.  The positions are
+    counted backwards from the access in windows of doubling width, and
+    an access leaves the count once it reaches ``ways`` (a miss) or its
+    window covers the whole gap (a hit).  Window positions at or below
+    the previous use count as that use, whose next use is the access
+    itself, so they add nothing.
     """
-    # Group accesses by set with a stable sort (set indices in the
-    # narrowest unsigned type: numpy radix-sorts 8- and 16-bit keys);
-    # an access misses exactly when it differs from the line before it
-    # in its set — the resident line, for the set's first access.  The
-    # set's last access stays resident.
-    n = len(lines)
-    sets = (lines & set_mask).astype(np.min_scalar_type(set_mask))
-    order = np.argsort(sets, kind="stable")
-    sorted_sets = sets[order]
-    sorted_lines = lines[order]
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    np.not_equal(sorted_sets[1:], sorted_sets[:-1], out=head[1:])
-    before = np.empty(n, dtype=np.int64)
-    before[1:] = sorted_lines[:-1]
-    before[head] = resident[sorted_sets[head]]
-    tail = np.empty(n, dtype=bool)
-    tail[:-1] = head[1:]
-    tail[-1] = True
-    resident[sorted_sets[tail]] = sorted_lines[tail]
-    miss = np.empty(n, dtype=bool)
-    miss[order] = sorted_lines != before
+    hits = np.zeros(len(accesses), dtype=bool)
+    index = np.arange(len(accesses))
+    count = np.zeros(len(accesses), dtype=np.int64)
+    scanned, width = 0, ways
+    while len(index):
+        offsets = np.arange(scanned, width)
+        rows = max(1, WINDOW_BLOCK // len(offsets))
+        for start in range(0, len(index), rows):
+            block = slice(start, start + rows)
+            at = accesses[block, None]
+            back = np.maximum(at - 1 - offsets, previous[block, None])
+            count[block] += np.count_nonzero(following[back] > at, axis=1)
+        open_ = count < ways
+        covered = accesses - previous - 1 <= width
+        hits[index[open_ & covered]] = True
+        more = open_ & ~covered
+        index, count = index[more], count[more]
+        accesses, previous = accesses[more], previous[more]
+        scanned, width = width, 2 * width
+    return hits
 
-    # Classification, as the dict loop does it.  A first-ever line
-    # cannot hit in the shadow, so the sum check below also checks the
-    # verdicts against the history.
-    missed = lines[miss]
+
+def set_lru_misses(
+    lines: np.ndarray, contents: np.ndarray, set_mask: int, ways: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Set-associative LRU verdicts on a stream, array-at-a-time.
+
+    ``contents`` are the lines the cache holds before the stream, set by
+    set in ascending set index, each set's least recently used first;
+    ``lines`` are the accesses.  Returns the miss mask over
+    ``lines`` and the cache's contents after them, in the same layout.
+    The spec is :class:`repro.cache.reference.ReferenceSetAssociativeCache`;
+    a direct-mapped cache is ``ways == 1``.
+
+    Each set is an LRU stack of its own (Mattson et al.), so an access
+    hits exactly when fewer than ``ways`` distinct lines of its set were
+    used since its line's previous use.  A stable sort by set index (in
+    the narrowest unsigned type, which numpy radix-sorts) puts each
+    set's contents in front of its accesses, in order.  An entry equal
+    to the one before it is an MRU hit that changes nothing, and is
+    dropped.  With one way every remaining access misses: it differs
+    from its set's resident line.  Otherwise :func:`reuse_links` gives
+    each remaining access its previous use p: with none it misses; fewer
+    than ``ways`` entries between p and the access (all of its set) is
+    a sure hit; the few others are counted by :func:`window_hits`.  The
+    new contents are each set's last ``ways`` entries whose line is not
+    used again, in order.
+    """
+    resident = len(contents)
+    stream = np.concatenate((contents, lines))
+    keys = (stream & set_mask).astype(np.min_scalar_type(set_mask))
+    order = np.argsort(keys, kind="stable")
+    ordered = stream[order]
+    ordered_keys = keys[order]
+    changed = run_heads(ordered)
+    if ways == 1:
+        miss_ordered = changed
+        contents = ordered[last_per_group(ordered_keys, 1)]
+    else:
+        heads = np.flatnonzero(changed)
+        reduced = ordered[heads]
+        previous, following = reuse_links(reduced)
+        gap = np.arange(len(reduced)) - previous - 1
+        hit = (previous >= 0) & (gap < ways)
+        far = np.flatnonzero((previous >= 0) & (gap >= ways))
+        hit[far] = window_hits(far, previous[far], following, ways)
+        miss_ordered = np.zeros(len(stream), dtype=bool)
+        miss_ordered[heads] = ~hit
+        final = np.flatnonzero(following == len(reduced))
+        final_keys = ordered_keys[heads[final]]
+        contents = reduced[final[last_per_group(final_keys, ways)]]
+    miss = np.empty(len(stream), dtype=bool)
+    miss[order] = miss_ordered
+    return miss[resident:], contents
+
+
+def classify_misses(
+    missed: np.ndarray, shadow_hit: np.ndarray, seen: set[int],
+    stats: LevelStats,
+) -> None:
+    """Add the misses ``missed`` (the lines, in order) to ``stats`` by
+    class, as the dict loop does: a miss on a line outside the
+    compulsory history ``seen`` is compulsory and joins it, and the
+    others split capacity/conflict on ``shadow_hit``, the
+    fully-associative shadow's verdict per miss.  Live runs pass
+    :func:`lru_hits`'s verdicts (:meth:`ClassifyingCache.process`),
+    replay the stored annotation (:mod:`repro.trace.replay`)."""
     n_misses = len(missed)
     if not n_misses:
-        return missed
-    shadow_hit = shadow_hit[miss]
+        return
+    # A first-ever line cannot hit in the shadow, so the sum check
+    # below also checks the verdicts against the history.
     distinct, first = np.unique(missed, return_index=True)
     new = ~np.fromiter(
         map(seen.__contains__, distinct.tolist()), dtype=bool,
@@ -234,7 +331,6 @@ def direct_mapped_misses(
     stats.compulsory += n_compulsory
     stats.capacity += n_capacity
     stats.conflict += n_conflict
-    return missed
 
 
 @dataclass
@@ -246,6 +342,15 @@ class ClassifyingCache:
     than one line), and ``shadow`` is the fully-associative LRU of
     equal capacity, an ``OrderedDict``.  The per-access model of the
     same semantics is :mod:`repro.cache.reference`.
+
+    The state lives in one of two forms.  The dict loop of
+    :meth:`process` works on the dicts; its array path keeps the real
+    cache's contents (every set's lines, set by set, least recently used
+    first) and the shadow's as int64 arrays between array batches.
+    Reading ``sets`` or ``shadow`` turns arrays into dicts, and an array
+    batch turns dicts into arrays, so every reader sees the same
+    structures whichever path ran, and a level that stays on one path
+    never converts.
     """
 
     config: CacheConfig
@@ -253,13 +358,6 @@ class ClassifyingCache:
 
     def __post_init__(self) -> None:
         self.set_mask = self.config.num_sets - 1
-        # A direct-mapped set holds at most one line, so it has no
-        # recency order to keep.
-        make_set = dict if self.config.associativity == 1 else OrderedDict
-        self.sets: list[dict[int, None]] = [
-            make_set() for _ in range(self.config.num_sets)
-        ]
-        self.shadow: OrderedDict[int, None] = OrderedDict()
         self.shadow_capacity = self.config.num_lines
         self._seen: set[int] = set()
         #: Misses of the fully-associative shadow (including shadow
@@ -274,6 +372,47 @@ class ClassifyingCache:
         #: store's shadow annotation is the direct-mapped replay's
         #: input); ``None`` for a set-associative cache.
         self.shadow_miss_positions: list[int] | np.ndarray | None = None
+        self.flush()
+
+    @property
+    def sets(self) -> list[dict[int, None]]:
+        """One dict per set, each least recently used first."""
+        if self._sets is None:
+            self._to_dicts()
+        return self._sets
+
+    @property
+    def shadow(self) -> OrderedDict[int, None]:
+        """The fully-associative LRU shadow, least recently used first."""
+        if self._shadow is None:
+            self._to_dicts()
+        return self._shadow
+
+    def _to_dicts(self) -> None:
+        # A direct-mapped set holds at most one line, so it has no
+        # recency order to keep.
+        make_set = dict if self.config.associativity == 1 else OrderedDict
+        sets = [make_set() for _ in range(self.config.num_sets)]
+        mask = self.set_mask
+        for line in self._contents.tolist():
+            sets[line & mask][line] = None
+        self._sets = sets
+        self._shadow = OrderedDict.fromkeys(self._shadow_lines.tolist())
+        self._contents = self._shadow_lines = None
+
+    def _to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The array state (contents, shadow), turning dicts into it."""
+        if self._contents is None:
+            sets, shadow = self._sets, self._shadow
+            self._contents = np.fromiter(
+                chain.from_iterable(sets), dtype=np.int64,
+                count=sum(map(len, sets)),
+            )
+            self._shadow_lines = np.fromiter(
+                shadow, dtype=np.int64, count=len(shadow)
+            )
+            self._sets = self._shadow = None
+        return self._contents, self._shadow_lines
 
     def process(
         self,
@@ -281,7 +420,7 @@ class ClassifyingCache:
         counts: list[int] | None = None,
         *,
         accesses: int | None = None,
-    ) -> list[int]:
+    ) -> list[int] | np.ndarray:
         """Process a batch of line references; return the lines that missed.
 
         ``lines`` is a list of ints or an int64 array, and must already
@@ -290,22 +429,22 @@ class ClassifyingCache:
         references entry ``i`` stands for.  A caller that already has
         the batch's reference total passes it as ``accesses`` instead of
         ``counts`` (the hierarchy takes it from one numpy sum).  The
-        returned miss list preserves order and multiplicity, ready to
-        feed the next level.
+        returned misses (a list, or an int64 array from the array path)
+        preserve order and multiplicity, ready to feed the next level.
 
         This is the simulator's hot path, and has two implementations
         of the same semantics, each guarded by the golden-equivalence
         suite against :mod:`repro.cache.reference`:
 
-        * the **array path**: a direct-mapped cache (both L1s on the
-          R8000) simulates a batch of at least
-          :data:`ARRAY_KERNEL_ENTRIES` entries in numpy —
-          :func:`lru_hits` gives the shadow's verdicts from each
-          access's previous use, and :func:`direct_mapped_misses`, the
-          code stored-trace replay runs, the real cache and the
-          classification.  It reads ``sets`` and ``shadow`` when the
-          batch starts and writes them back when it ends, so audits see
-          the same structures whichever path ran;
+        * the **array path**, for a batch of at least
+          :data:`ARRAY_KERNEL_ENTRIES` entries and at least the level's
+          line count, at any associativity: :func:`lru_hits` gives the
+          shadow's verdicts from each access's previous use,
+          :func:`set_lru_misses` the real cache's from set-local reuse
+          gaps (with one way, the code stored-trace replay runs), and
+          :func:`classify_misses` the classes.  It returns the missed
+          lines as an int64 array and keeps the level's state as arrays
+          (see the class docstring);
         * the **dict loop**, for every other batch, with locals bound
           outside the loop: the access total is hoisted out of it; a
           hit refreshes LRU recency with ``OrderedDict.move_to_end``
@@ -327,9 +466,10 @@ class ClassifyingCache:
             accesses = len(lines) if counts is None else sum(counts)
         stats.accesses += accesses
 
-        associativity = self.config.associativity
-        if associativity == 1 and len(lines) >= ARRAY_KERNEL_ENTRIES:
+        entries = len(lines)
+        if entries >= ARRAY_KERNEL_ENTRIES and entries >= self.shadow_capacity:
             return self._process_array(np.asarray(lines, dtype=np.int64))
+        associativity = self.config.associativity
         if isinstance(lines, np.ndarray):
             lines = lines.tolist()
 
@@ -425,38 +565,25 @@ class ClassifyingCache:
         self.shadow_misses += n_shadow_misses
         return misses
 
-    def _process_array(self, lines: np.ndarray) -> list[int]:
-        """The array path of :meth:`process` for a direct-mapped cache:
-        the statistics, shadow miss positions and state the dict loop
-        would leave."""
+    def _process_array(self, lines: np.ndarray) -> np.ndarray:
+        """The array path of :meth:`process`: the misses, statistics,
+        shadow miss positions and state the dict loop would leave."""
         heads = np.flatnonzero(run_heads(lines))
         lines = lines[heads]
-        shadow = self.shadow
-        shadow_hit, contents = lru_hits(
-            np.fromiter(shadow, dtype=np.int64, count=len(shadow)),
-            lines,
-            self.shadow_capacity,
+        contents, shadow = self._to_arrays()
+        shadow_hit, self._shadow_lines = lru_hits(
+            shadow, lines, self.shadow_capacity
         )
-        self.shadow_miss_positions = positions = heads[~shadow_hit]
+        positions = heads[~shadow_hit]
         self.shadow_misses += len(positions)
-        shadow.clear()
-        shadow.update(dict.fromkeys(contents.tolist()))
-
-        sets = self.sets
-        was = np.fromiter(
-            map(next, map(iter, sets), repeat(EMPTY)), dtype=np.int64,
-            count=len(sets),
+        if self.config.associativity == 1:
+            self.shadow_miss_positions = positions
+        miss, self._contents = set_lru_misses(
+            lines, contents, self.set_mask, self.config.associativity
         )
-        resident = was.copy()
-        missed = direct_mapped_misses(
-            lines, shadow_hit, resident, self.set_mask, self._seen, self.stats
-        )
-        changed = np.flatnonzero(resident != was)
-        for index, line in zip(changed.tolist(), resident[changed].tolist()):
-            cache_set = sets[index]
-            cache_set.clear()
-            cache_set[line] = None
-        return missed.tolist()
+        missed = lines[miss]
+        classify_misses(missed, shadow_hit[miss], self._seen, self.stats)
+        return missed
 
     def flush(self) -> None:
         """Empty both the real cache and the shadow.
@@ -465,9 +592,9 @@ class ClassifyingCache:
         models losing residency, not forgetting that a line was ever
         touched.
         """
-        for cache_set in self.sets:
-            cache_set.clear()
-        self.shadow.clear()
+        self._contents = np.empty(0, dtype=np.int64)
+        self._shadow_lines = np.empty(0, dtype=np.int64)
+        self._sets = self._shadow = None
 
     def reset(self) -> None:
         """Empty the caches and zero all statistics and history."""

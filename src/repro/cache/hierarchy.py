@@ -43,8 +43,9 @@ def as_batch(lines, counts=None) -> tuple[np.ndarray, np.ndarray | None, int]:
 
     ``np.asarray`` leaves the trace recorder's int64 arrays as they
     are; lists and stored slices are converted once.  A negative line
-    is rejected with one numpy comparison (the direct-mapped kernels
-    mark an empty set with -1).  The total is one numpy sum
+    is rejected with one numpy comparison (the shadow's array kernel,
+    :func:`repro.cache.classify.lru_hits`, fills an empty shadow with
+    negative placeholders).  The total is one numpy sum
     (``len(lines)`` when ``counts`` is ``None``)."""
     lines = np.asarray(lines, dtype=np.int64)
     if len(lines) and lines.min() < 0:
@@ -226,9 +227,10 @@ class CacheHierarchy:
         lines,
         counts=None,
         writes: int = 0,
-    ) -> tuple[list[int], list[int]]:
+    ) -> tuple:
         """Simulate a batch of data references; return its L1 and L2
-        miss lines (L2 lines as the L2 saw them).
+        miss lines (L2 lines as the L2 saw them), each a list or, from a
+        level's array path, an int64 array.
 
         Parameters
         ----------
@@ -247,29 +249,27 @@ class CacheHierarchy:
             as DineroIII's default demand-fetch policy does).
 
         The batch reaches the L1D kernel as the int64 array (its dict
-        loop takes one ``tolist()``, its array path none); the reference
-        total is one numpy sum.
+        loop takes one ``tolist()``, its array path none), and its L1
+        misses reach the L2 the same way; the reference total is one
+        numpy sum.
         """
         lines, counts, total = as_batch(lines, counts)
         return self._simulate(lines, total, writes)
 
-    def _simulate(
-        self, lines: np.ndarray, total: int, writes: int
-    ) -> tuple[list[int], list[int]]:
-        """The kernel work of one checked batch of ``total`` references."""
+    def _simulate(self, lines: np.ndarray, total: int, writes: int) -> tuple:
+        """The kernel work of one checked batch of ``total`` references:
+        the L1 misses reach the L2 as one shifted int64 array."""
         self.count_data(total, writes)
         l1_misses = self.l1d.process(lines, accesses=total)
-        if not l1_misses:
+        if not len(l1_misses):
             return l1_misses, []
-        shift = self._l2_shift
-        if shift:
-            l2_lines = [line >> shift for line in l1_misses]
-        else:
-            l2_lines = l1_misses
+        l2_lines = np.asarray(l1_misses, dtype=np.int64) >> self._l2_shift
         mapper = self.l2_page_mapper
         if mapper is not None:
             bits = self.l2.config.line_bits
-            l2_lines = [mapper.translate_line(line, bits) for line in l2_lines]
+            l2_lines = [
+                mapper.translate_line(line, bits) for line in l2_lines.tolist()
+            ]
         return l1_misses, self.l2.process(l2_lines)
 
     def _access_data_instrumented(
@@ -277,7 +277,7 @@ class CacheHierarchy:
         lines,
         counts=None,
         writes: int = 0,
-    ) -> tuple[list[int], list[int]]:
+    ) -> tuple:
         """:meth:`access_data` plus the sidecar hooks.
 
         Installed as the instance's ``access_data`` while any sidecar is

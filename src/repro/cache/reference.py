@@ -4,7 +4,7 @@ The production kernel
 (:meth:`repro.cache.classify.ClassifyingCache.process`) is tuned for
 throughput — dict-per-set LRU, hoisted access accounting, a run-length
 hit fast path, a dedicated direct-mapped loop, and a numpy path for
-large direct-mapped batches.  Optimized hot loops rot
+large batches.  Optimized hot loops rot
 silently, so this module keeps a maximally transparent implementation
 of the same semantics: one access at a time, every LRU structure a
 plain Python list in recency order, no batching tricks anywhere.  The
@@ -14,10 +14,14 @@ class-for-class, LRU-order-for-LRU-order agreement, and the kernel
 benchmark (``benchmarks/test_sim_bench.py``) times the optimized path
 against this one to quantify — and guard — the speedup.
 
-It also holds the spec of the trace store's shadow annotation and of
-the numpy path's shadow verdicts (:func:`repro.cache.classify.lru_hits`),
-:func:`shadow_hit_bits`, which the store's annotation of the live
-kernel's verdicts must equal.
+It also holds the specs of the numpy path's two halves.
+:class:`ReferenceSetAssociativeCache` is the spec of the real cache's
+verdicts and contents (:func:`repro.cache.classify.set_lru_misses`,
+whose contents are this class's sets, one after another, each least
+recently used first).  :func:`shadow_hit_bits` is the spec of the
+shadow's verdicts (:func:`repro.cache.classify.lru_hits`) and of the
+trace store's shadow annotation, which must equal the live kernel's
+verdicts.
 
 Nothing in the simulator imports this module; it exists only for tests
 and benchmarks and favors obviousness over speed.
@@ -119,6 +123,11 @@ class ReferenceClassifyingCache:
 
     def shadow_lru_order(self) -> list[int]:
         return list(self._shadow)
+
+    def flush(self) -> None:
+        """Empty both LRU structures, keeping statistics and history."""
+        self.real = ReferenceSetAssociativeCache(self.config)
+        self._shadow = []
 
 
 def shadow_hit_bits(dlines: np.ndarray, capacity: int) -> np.ndarray:

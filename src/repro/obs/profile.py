@@ -95,6 +95,11 @@ def fold_object_name(name: str) -> str:
     return name
 
 
+def _ints(misses: list[int] | np.ndarray) -> list[int]:
+    """A level's miss lines as a list of ints."""
+    return misses.tolist() if isinstance(misses, np.ndarray) else misses
+
+
 class LocalityProfiler:
     """Charges every simulated reference to (fork site, bin, object).
 
@@ -190,11 +195,12 @@ class LocalityProfiler:
         lines: np.ndarray,
         counts: np.ndarray | None,
         writes: int,
-        l1_misses: list[int],
-        l2_misses: list[int],
+        l1_misses: list[int] | np.ndarray,
+        l2_misses: list[int] | np.ndarray,
     ) -> None:
         """Charge one processed access batch (int64 arrays, as the
-        kernel got it) to the current context."""
+        kernel got it) and its misses (lists, or int64 arrays from a
+        level's array path) to the current context."""
         total = int(counts.sum()) if counts is not None else len(lines)
         key = (self._site, self._bin)
         context = self._contexts.get(key)
@@ -260,8 +266,8 @@ class LocalityProfiler:
         hierarchy: Any,
         lines: np.ndarray,
         counts: np.ndarray | None,
-        l1_misses: list[int],
-        l2_misses: list[int],
+        l1_misses: list[int] | np.ndarray,
+        l2_misses: list[int] | np.ndarray,
     ) -> None:
         if self._indexed != len(self.space.allocations):
             self._rebuild_index()
@@ -281,16 +287,18 @@ class LocalityProfiler:
                 return slots[i]
             return unmapped
 
-        # One conversion each for the per-entry walk.
+        # One conversion each for the per-entry walk (a level's array
+        # path returns its misses as an int64 array, whose elements are
+        # several times slower to shift and bisect than ints).
         if counts is None:
             for line in lines.tolist():
                 owner(line << shift)[0] += 1
         else:
             for line, count in zip(lines.tolist(), counts.tolist()):
                 owner(line << shift)[0] += count
-        for line in l1_misses:
+        for line in _ints(l1_misses):
             owner(line << shift)[1] += 1
-        if l2_misses:
+        if len(l2_misses):
             if hierarchy.l2_page_mapper is not None:
                 translated = self._objects.get(TRANSLATED)
                 if translated is None:
@@ -298,7 +306,7 @@ class LocalityProfiler:
                 translated[2] += len(l2_misses)
             else:
                 l2_shift = hierarchy.l2.config.line_bits
-                for line in l2_misses:
+                for line in _ints(l2_misses):
                     owner(line << l2_shift)[2] += 1
 
     # ------------------------------------------------------------------

@@ -30,37 +30,38 @@ reference, with the code the live kernel's array path runs:
   change, so each chunk is deduplicated with one vectorized compare —
   its first entry against the previous chunk's last line, which keeps
   the chunk aligned with the stored shadow annotation;
-* the real cache and the classification are
-  :func:`repro.cache.classify.direct_mapped_misses`: one stable sort by
-  set index and two shifted compares, with each set's resident line
-  carried in from the previous chunk, and a miss compulsory exactly
-  when its line is new to the L1D's compulsory history
-  (``l1d._seen``);
-* the capacity/conflict split takes the fully-associative shadow's
-  verdicts from the container: the live kernel's per-entry verdicts,
-  recorded by the capture tap as the stream was simulated
-  (:func:`repro.trace.store.shadow_annotation`), so replay never
-  re-runs the shadow.  A set-associative L1D's object ships none, and
-  replays through the dict step.
+* the real cache is :func:`repro.cache.classify.set_lru_misses` with
+  one way: one stable sort by set index, with each set's resident line
+  carried in from the previous chunk in front of its accesses, and one
+  shifted compare;
+* the classification is :func:`repro.cache.classify.classify_misses`:
+  a miss is compulsory exactly when its line is new to the L1D's
+  compulsory history (``l1d._seen``), and the capacity/conflict split
+  takes the fully-associative shadow's verdicts from the container:
+  the live kernel's per-entry verdicts, recorded by the capture tap as
+  the stream was simulated (:func:`repro.trace.store.shadow_annotation`),
+  so replay never re-runs the shadow.  A set-associative L1D's object
+  ships none, and replays through the dict step.
 
 After each chunk the numpy step applies the L1 statistics and
-read/write counts ``access_data`` would have applied, forwards the
-chunk's L1 misses through the ordinary ``ClassifyingCache.process`` for
-the L2 (any associativity; that stream is one to two orders of
-magnitude smaller), and calls the observer.  It carries only three
-things from chunk to chunk — each set's resident line, the previous
-chunk's last line and the compulsory history — so the rest of its
-memory is O(chunk), not O(stream).  The L1D's set and shadow dicts
-stay empty: nothing that feeds
-:meth:`~repro.cache.hierarchy.CacheHierarchy.snapshot` or the sampler
-reads them.
+read/write counts ``access_data`` would have applied, hands the chunk's
+L1 misses to the L2's ``ClassifyingCache.process`` as one shifted int64
+array (whenever a chunk's misses reach the array path's size condition,
+as all 110 chunks of the quick Table 3/5/7/9 streams do, the L2
+simulates them in one array pass and keeps its state as arrays from
+chunk to chunk), and calls the observer.  It carries only three things from chunk to chunk —
+each set's resident line, the previous chunk's last line and the
+compulsory history — so the rest of its memory is O(chunk), not
+O(stream).  The L1D's set and shadow dicts stay empty: nothing that
+feeds :meth:`~repro.cache.hierarchy.CacheHierarchy.snapshot` or the
+sampler reads them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.classify import EMPTY, direct_mapped_misses, run_heads
+from repro.cache.classify import classify_misses, run_heads, set_lru_misses
 from repro.trace.store import StoredTrace
 
 #: Replay chunk size: stored batches are coalesced until at least this
@@ -157,8 +158,9 @@ def _annotation_mismatch(bits: int, entries: int) -> ValueError:
 class _DirectMappedStep:
     """The numpy step: one chunk of a direct-mapped L1D replay per call.
 
-    Carries each set's resident line (``resident``), the previous
-    chunk's last line (``last``) and the L1D's compulsory history
+    Carries each set's resident line (``contents``, set by set, in
+    :func:`set_lru_misses`'s layout), the previous chunk's last line
+    (``last``) and the L1D's compulsory history
     (``l1d._seen``) from chunk to chunk; ``shadow_offset`` counts the
     stored shadow bits consumed so far.
     """
@@ -170,9 +172,7 @@ class _DirectMappedStep:
         self.lines = np.asarray(stored.lines)
         self.counts = np.asarray(stored.counts)
         self.shadow_hits = np.asarray(stored.shadow_hits)
-        self.resident = np.full(
-            hierarchy.l1d.config.num_sets, EMPTY, dtype=np.int64
-        )
+        self.contents = np.empty(0, dtype=np.int64)
         self.last = None
         self.shadow_offset = 0
 
@@ -184,10 +184,7 @@ class _DirectMappedStep:
         if end > start:
             missed = self._l1_misses(self.lines[start:end])
             if len(missed):
-                shift = hierarchy._l2_shift
-                if shift:
-                    missed = missed >> shift
-                hierarchy.l2.process(missed.tolist())
+                hierarchy.l2.process(missed >> hierarchy._l2_shift)
         observer = hierarchy.observer
         if observer is not None:
             observer.on_batch(hierarchy, refs)
@@ -208,6 +205,7 @@ class _DirectMappedStep:
         self.shadow_offset = offset + n
         if not n:
             return lines  # the chunk only repeats the previous line
-        return direct_mapped_misses(
-            lines, shadow != 0, self.resident, l1.set_mask, l1._seen, l1.stats
-        )
+        miss, self.contents = set_lru_misses(lines, self.contents, l1.set_mask, 1)
+        missed = lines[miss]
+        classify_misses(missed, shadow[miss] != 0, l1._seen, l1.stats)
+        return missed

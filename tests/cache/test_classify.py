@@ -1,8 +1,10 @@
 """Tests for single-run miss classification (compulsory/capacity/conflict)."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.classify import ClassifyingCache, LevelStats
+from repro.cache.classify import ClassifyingCache, LevelStats, stable_order
 from repro.cache.config import CacheConfig
 from repro.cache.reference import ReferenceClassifyingCache
 
@@ -169,3 +171,57 @@ class TestInvariants:
         two.process(lines[:split])
         two.process(lines[split:])
         assert one.stats.as_dict() == two.stats.as_dict()
+
+
+INT64_MAX = (1 << 63) - 1
+
+
+def guard_span(n: int) -> int:
+    """The widest span whose sort keys ``offset * n + position`` fit
+    int64."""
+    return (1 << 63) // n - 1
+
+
+class TestStableOrder:
+    """:func:`stable_order` returns ``np.argsort(kind="stable")``'s
+    permutation on each of its three sorts: the uint16 radix sort
+    (spans below 2**16), the unique-key sort, and the stable sort past
+    the key overflow guard."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize(
+        "span_at",
+        [
+            lambda n: 0,
+            lambda n: 5,
+            lambda n: (1 << 16) - 1,
+            lambda n: 1 << 16,
+            lambda n: guard_span(n),
+            lambda n: guard_span(n) + 1,
+        ],
+        ids=["ties", "small", "2^16-1", "2^16", "guard", "past-guard"],
+    )
+    def test_equals_the_stable_argsort(self, span_at, data):
+        n = data.draw(st.integers(1, 80))
+        span = min(span_at(n), INT64_MAX)
+        # Negative lows include lru_hits's placeholders (-C..-1).
+        low = data.draw(st.one_of(
+            st.integers(-100, 0), st.integers(-(1 << 63), INT64_MAX - span)
+        ))
+        # Few distinct offsets, both ends of the span among them, so
+        # ties are common and the span is exact.
+        pool = [0, span] + data.draw(
+            st.lists(st.integers(0, span), max_size=4)
+        )
+        offsets = data.draw(
+            st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+        )
+        offsets[0], offsets[-1] = 0, span
+        values = np.array([low + offset for offset in offsets], dtype=np.int64)
+        assert stable_order(values).tolist() == (
+            np.argsort(values, kind="stable").tolist()
+        )
+
+    def test_empty(self):
+        assert stable_order(np.empty(0, dtype=np.int64)).tolist() == []

@@ -5,23 +5,37 @@ LRU) was tuned for throughput; these tests pin it to the original
 per-line, list-based implementation kept in :mod:`repro.cache.reference`.
 Randomized (seeded) traces across associativities 1/2/4, with and
 without run-length counts, must agree hit-for-hit, miss-class-for-
-miss-class, and LRU-order-for-LRU-order, on both paths of a
-direct-mapped cache: the dict loop and the array path that batches of
-at least ``ARRAY_KERNEL_ENTRIES`` take.
+miss-class, and LRU-order-for-LRU-order, on both paths: the dict loop
+and the array path that batches of at least ``ARRAY_KERNEL_ENTRIES``
+entries and the level's line count take, at associativities 1, 2, 4,
+8 and fully associative.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.classify import ARRAY_KERNEL_ENTRIES, ClassifyingCache, lru_hits
+from repro.cache.classify import (
+    ARRAY_KERNEL_ENTRIES,
+    ClassifyingCache,
+    lru_hits,
+    set_lru_misses,
+)
 from repro.cache.config import CacheConfig
-from repro.cache.reference import ReferenceClassifyingCache, shadow_hit_bits
+from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.reference import (
+    ReferenceClassifyingCache,
+    ReferenceSetAssociativeCache,
+    shadow_hit_bits,
+)
+from repro.obs.profile import UNMAPPED, LocalityProfiler
 
 ASSOCIATIVITIES = [1, 2, 4]
 
@@ -127,7 +141,7 @@ class TestBatchBoundaries:
         per_line_misses = [
             miss for line in trace for miss in per_line.process([line])
         ]
-        assert batched_misses == per_line_misses
+        assert list(batched_misses) == per_line_misses
         assert batched.stats.as_dict() == per_line.stats.as_dict()
         assert batched.shadow_misses == per_line.shadow_misses
         assert list(batched.shadow) == list(per_line.shadow)
@@ -186,25 +200,42 @@ def reference_batch(reference, batch, counts):
     return misses, positions
 
 
-class TestArrayPath:
-    """Direct-mapped batches alternate between the dict loop (1-63
-    entries) and the array path (at least ``ARRAY_KERNEL_ENTRIES``), so
-    each path starts from state the other one left."""
+def array_batch_entries(config: CacheConfig) -> int:
+    """The shortest batch the array path takes on ``config``."""
+    return max(ARRAY_KERNEL_ENTRIES, config.num_lines)
 
-    @pytest.mark.parametrize("size,span", [(256, 96), (4096, 1200)])
+
+#: (cache bytes, line span, associativity): 16- and 256-line caches of
+#: 16-byte lines, direct-mapped to fully associative.
+ARRAY_CASES = [
+    pytest.param(
+        size, span, ways,
+        id=f"{size}-{span}" + ("" if ways == 1 else f"-{ways}way"),
+    )
+    for size, span, lines in [(256, 96, 16), (4096, 1200, 256)]
+    for ways in [1, 2, 4, 8, lines]
+]
+
+
+class TestArrayPath:
+    """Batches alternate between the dict loop (1-63 entries) and the
+    array path (at least ``ARRAY_KERNEL_ENTRIES`` entries and the
+    level's line count), with a flush between some of them, so each
+    path starts from state the other one, or a flush, left."""
+
+    @pytest.mark.parametrize("size,span,ways", ARRAY_CASES)
     @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_alternating_paths_match_reference(self, size, span, seed):
-        config = CacheConfig("L1D", size, 16, 1)
+    def test_alternating_paths_match_reference(self, size, span, ways, seed):
+        config = CacheConfig("L1D", size, 16, ways)
         optimized = ClassifyingCache(config)
         reference = ReferenceClassifyingCache(config)
         lines, counts = compress(random_trace(seed, 14000, span=span))
         rng = random.Random(seed + 100)
+        large_at = array_batch_entries(config)
         position, large = 0, seed % 2 == 0
         while position < len(lines):
             if large:
-                length = rng.randrange(
-                    ARRAY_KERNEL_ENTRIES, 2 * ARRAY_KERNEL_ENTRIES
-                )
+                length = rng.randrange(large_at, 2 * large_at)
             else:
                 length = rng.randrange(1, 64)
             batch = lines[position : position + length]
@@ -217,11 +248,32 @@ class TestArrayPath:
             expected, positions = reference_batch(
                 reference, batch, batch_counts
             )
-            assert misses == expected
-            assert list(optimized.shadow_miss_positions) == positions
-            array_path = isinstance(optimized.shadow_miss_positions, np.ndarray)
-            assert array_path == (len(batch) >= ARRAY_KERNEL_ENTRIES)
+            assert list(misses) == expected
+            array_path = isinstance(misses, np.ndarray)
+            assert array_path == (len(batch) >= large_at)
+            if ways == 1:
+                assert list(optimized.shadow_miss_positions) == positions
+            else:
+                assert optimized.shadow_miss_positions is None
             assert_same_state(optimized, reference)
+            if rng.random() < 0.25:
+                optimized.flush()
+                reference.flush()
+
+    def test_batches_shorter_than_the_level_take_the_loop(self):
+        config = CacheConfig("L2", 1 << 16, 16, 4)  # 4,096 lines
+        cache = ClassifyingCache(config)
+        reference = ReferenceClassifyingCache(config)
+        lines = random_trace(15, 6 * config.num_lines, span=8000)
+        for start, end, array_path in [
+            (0, ARRAY_KERNEL_ENTRIES, False),
+            (ARRAY_KERNEL_ENTRIES, config.num_lines, False),
+            (config.num_lines, 3 * config.num_lines, True),
+        ]:
+            misses = cache.process(lines[start:end])
+            assert isinstance(misses, np.ndarray) == array_path
+            assert list(misses) == reference.process(lines[start:end])
+            assert_same_state(cache, reference)
 
     def test_flush_empties_what_the_array_path_reads(self):
         config = make_config(1)
@@ -235,8 +287,79 @@ class TestArrayPath:
         reference.stats.merge(cache.stats)
         reference.shadow_misses = cache.shadow_misses
         rest = lines[ARRAY_KERNEL_ENTRIES:]
-        assert cache.process(rest) == reference.process(rest)
+        assert list(cache.process(rest)) == reference.process(rest)
         assert_same_state(cache, reference)
+
+
+class TestStateHandoff:
+    """An array batch leaves the level's state as arrays: the readers
+    (``sets``, the audits, the profiler's occupancy timeline) and a
+    dict batch after it see the structures the reference holds, and so
+    does the next array batch."""
+
+    CONFIG = CacheConfig("L2", 4096, 16, 4)  # 256 lines in 64 sets
+
+    def feed(self, cache, reference, lines, array_path):
+        misses = cache.process(lines)
+        assert isinstance(misses, np.ndarray) == array_path
+        assert list(misses) == reference.process(lines)
+
+    def test_readers_and_the_dict_loop_between_array_batches(self):
+        cache = ClassifyingCache(self.CONFIG)
+        reference = ReferenceClassifyingCache(self.CONFIG)
+        lines = random_trace(21, 2 * ARRAY_KERNEL_ENTRIES + 50, span=700)
+        self.feed(cache, reference, lines[:ARRAY_KERNEL_ENTRIES], True)
+        assert cache.set_violations() == []
+        assert cache.shadow_violations() == []
+        assert_same_state(cache, reference)
+        self.feed(
+            cache, reference,
+            lines[ARRAY_KERNEL_ENTRIES:ARRAY_KERNEL_ENTRIES + 50], False,
+        )
+        assert_same_state(cache, reference)
+        self.feed(cache, reference, lines[ARRAY_KERNEL_ENTRIES + 50:], True)
+        assert_same_state(cache, reference)
+
+    @pytest.mark.parametrize("empty", ["flush", "reset"])
+    def test_flush_and_reset_between_array_batches(self, empty):
+        cache = ClassifyingCache(self.CONFIG)
+        reference = ReferenceClassifyingCache(self.CONFIG)
+        lines = random_trace(22, 2 * ARRAY_KERNEL_ENTRIES, span=700)
+        self.feed(cache, reference, lines[:ARRAY_KERNEL_ENTRIES], True)
+        getattr(cache, empty)()
+        if empty == "flush":
+            reference.flush()
+        else:
+            reference = ReferenceClassifyingCache(self.CONFIG)
+        self.feed(cache, reference, lines[ARRAY_KERNEL_ENTRIES:], True)
+        assert_same_state(cache, reference)
+
+    def test_profiler_occupancy_reads_the_array_state(self):
+        # A 4-line L1D passes nearly every access on, so most L2
+        # batches are long enough for its array path; the profiler
+        # samples after every batch.
+        tiny = CacheConfig("L1D", 64, 16, 1)
+        hierarchy = CacheHierarchy(tiny, tiny, self.CONFIG)
+        profiler = hierarchy.profiler = LocalityProfiler("p", "m", interval=1)
+        reference = ReferenceClassifyingCache(self.CONFIG)
+        rng = random.Random(23)
+        array_batches = 0
+        for _ in range(6):
+            length = rng.choice([40, 2 * ARRAY_KERNEL_ENTRIES])
+            batch = [rng.randrange(900) for _ in range(length)]
+            l1_misses, l2_misses = hierarchy.access_data(batch)
+            array_batches += isinstance(l2_misses, np.ndarray)
+            assert list(l2_misses) == reference.process(list(l1_misses))
+            resident = sum(
+                len(reference.real.lru_order(index))
+                for index in range(self.CONFIG.num_sets)
+            )
+            occupancy = profiler.entry(0)["timeline"][-1]["l2"]["occupancy"]
+            assert occupancy == {
+                UNMAPPED: round(resident / self.CONFIG.num_lines, 6)
+            }
+            assert_same_state(hierarchy.l2, reference)
+        assert array_batches >= 2
 
 
 def last_distinct(stream: list[int], capacity: int) -> list[int]:
@@ -300,3 +423,73 @@ class TestLruHits:
         ).tolist()
         assert verdicts == [bool(bit) for bit in expected]
         assert contents.tolist() == last_distinct(stream[segment:], capacity)
+
+
+@st.composite
+def set_streams(draw):
+    """(ways, sets, stream, cuts): uniform random lines over spans
+    around ways x sets lines, cut at random points (empty batches
+    included)."""
+    ways = draw(st.integers(1, 8))
+    num_sets = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    span = draw(st.integers(1, 3 * ways * num_sets + 2))
+    length = draw(st.integers(0, 300))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    stream = [rng.randrange(span) for _ in range(length)]
+    cuts = draw(st.lists(st.integers(0, length), max_size=6))
+    return ways, num_sets, stream, sorted(cuts)
+
+
+class TestSetLruMisses:
+    """:func:`set_lru_misses` fed a stream batch by batch, carrying its
+    contents forward, against :class:`ReferenceSetAssociativeCache`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=set_streams())
+    def test_split_stream_matches_spec(self, case):
+        ways, num_sets, stream, cuts = case
+        # The function takes any number of ways; a CacheConfig only
+        # powers of two, and the reference reads only these two fields.
+        reference = ReferenceSetAssociativeCache(
+            SimpleNamespace(num_sets=num_sets, associativity=ways)
+        )
+        contents = np.empty(0, dtype=np.int64)
+        start = 0
+        for cut in [*cuts, len(stream)]:
+            batch = stream[start:cut]
+            start = cut
+            miss, contents = set_lru_misses(
+                np.array(batch, dtype=np.int64), contents, num_sets - 1, ways
+            )
+            assert miss.tolist() == [not reference.access(line) for line in batch]
+            assert contents.tolist() == [
+                line
+                for index in range(num_sets)
+                for line in reference.lru_order(index)
+            ]
+
+    def test_window_count_memory_is_bounded(self):
+        # A 256-way set and a replay-chunk-sized batch over 200 lines:
+        # about 18K accesses come back after more than 256 others, and
+        # each one's window must reach its previous use, so they are
+        # counted in several blocks.  Gathered at once, their windows
+        # took 109 MB.
+        ways = 256
+        rng = np.random.default_rng(24)
+        lines = rng.integers(0, 200, 1 << 16)
+        tracemalloc.start()
+        try:
+            miss, contents = set_lru_misses(
+                lines, np.empty(0, dtype=np.int64), 0, ways
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 << 20, f"peaked at {peak / 2**20:.1f} MB"
+        reference = ReferenceSetAssociativeCache(
+            SimpleNamespace(num_sets=1, associativity=ways)
+        )
+        assert miss.tolist() == [
+            not reference.access(line) for line in lines.tolist()
+        ]
+        assert contents.tolist() == reference.lru_order(0)

@@ -280,8 +280,8 @@ class TestLiveAnnotation:
     @given(stream=streams())
     @example(stream=([3, 7, 7, 3, 3, 40], [1] * 6, [2, 2, 4, 6], [0] * 4))
     def test_array_path_annotation_is_the_specs(self, stream):
-        # Every non-empty batch takes the L1D's array path, whose miss
-        # positions reach the tap as an int64 array.
+        # Every batch of at least the L1D's 8 lines takes its array
+        # path, whose miss positions reach the tap as an int64 array.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classify_module, "ARRAY_KERNEL_ENTRIES", 1)
             check_live_annotation(stream)
