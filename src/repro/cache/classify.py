@@ -305,9 +305,9 @@ def classify_misses(
     class, as the dict loop does: a miss on a line outside the
     compulsory history ``seen`` is compulsory and joins it, and the
     others split capacity/conflict on ``shadow_hit``, the
-    fully-associative shadow's verdict per miss.  Live runs pass
-    :func:`lru_hits`'s verdicts (:meth:`ClassifyingCache.process`),
-    replay the stored annotation (:mod:`repro.trace.replay`)."""
+    fully-associative shadow's verdict per miss: :func:`lru_hits`'s, or
+    those a stored trace's annotation supplies to
+    :meth:`ClassifyingCache.process`."""
     n_misses = len(missed)
     if not n_misses:
         return
@@ -337,11 +337,10 @@ def classify_misses(
 class ClassifyingCache:
     """A set-associative LRU cache paired with its classification shadow.
 
-    Both LRU structures are ordered least recently used first: ``sets``
-    holds one dict per set (an ``OrderedDict`` when a set holds more
-    than one line), and ``shadow`` is the fully-associative LRU of
-    equal capacity, an ``OrderedDict``.  The per-access model of the
-    same semantics is :mod:`repro.cache.reference`.
+    Both LRU structures are ``OrderedDict``s ordered least recently used
+    first: ``sets`` holds one per set, and ``shadow`` is the
+    fully-associative LRU of equal capacity.  The per-access model of
+    the same semantics is :mod:`repro.cache.reference`.
 
     The state lives in one of two forms.  The dict loop of
     :meth:`process` works on the dicts; its array path keeps the real
@@ -351,6 +350,11 @@ class ClassifyingCache:
     batch turns dicts into arrays, so every reader sees the same
     structures whichever path ran, and a level that stays on one path
     never converts.
+
+    A batch given the shadow's verdicts (``shadow_hits``, as a stored
+    trace's replay passes them) simulates no shadow.  The level then has
+    no shadow to continue from until :meth:`flush`: ``shadow`` reads
+    empty, and a later batch without verdicts raises ``ValueError``.
     """
 
     config: CacheConfig
@@ -363,19 +367,30 @@ class ClassifyingCache:
         #: Misses of the fully-associative shadow (including shadow
         #: misses on real-cache hits, which the classification ignores).
         #: Feeds the cache oracle's LRU stack-inclusion check, and stays
-        #: exact on every path.
+        #: exact on every path, batches given verdicts included.
         self.shadow_misses = 0
-        #: Where the shadow missed in the last :meth:`process` batch:
-        #: the batch positions, in order, of the entries it missed on
-        #: (a list from the dict loop, an int64 array from the array
-        #: path).  Only a direct-mapped cache records them (the trace
-        #: store's shadow annotation is the direct-mapped replay's
-        #: input); ``None`` for a set-associative cache.
-        self.shadow_miss_positions: list[int] | np.ndarray | None = None
+        # The last batch's shadow misses: the dict loop's positions, or
+        # the array path's (run-head mask, verdicts) pair, which
+        # shadow_miss_positions turns into positions when it is read.
+        self._shadow_missed: list[int] | tuple[np.ndarray, np.ndarray] = []
         self.flush()
 
     @property
-    def sets(self) -> list[dict[int, None]]:
+    def shadow_miss_positions(self) -> list[int] | np.ndarray:
+        """Where the shadow missed in the last :meth:`process` batch: the
+        batch positions, in order, of the entries it missed on (a list
+        from the dict loop, an int64 array from the array path, computed
+        here from the batch's run heads and verdicts).  A trace tap
+        stores them as the shadow annotation
+        (:class:`repro.trace.store.TraceCapture`)."""
+        missed = self._shadow_missed
+        if isinstance(missed, tuple):
+            heads, hit = missed
+            return np.flatnonzero(heads)[~hit]
+        return missed
+
+    @property
+    def sets(self) -> list[OrderedDict[int, None]]:
         """One dict per set, each least recently used first."""
         if self._sets is None:
             self._to_dicts()
@@ -389,10 +404,7 @@ class ClassifyingCache:
         return self._shadow
 
     def _to_dicts(self) -> None:
-        # A direct-mapped set holds at most one line, so it has no
-        # recency order to keep.
-        make_set = dict if self.config.associativity == 1 else OrderedDict
-        sets = [make_set() for _ in range(self.config.num_sets)]
+        sets = [OrderedDict() for _ in range(self.config.num_sets)]
         mask = self.set_mask
         for line in self._contents.tolist():
             sets[line & mask][line] = None
@@ -420,6 +432,7 @@ class ClassifyingCache:
         counts: list[int] | None = None,
         *,
         accesses: int | None = None,
+        shadow_hits: np.ndarray | None = None,
     ) -> list[int] | np.ndarray:
         """Process a batch of line references; return the lines that missed.
 
@@ -432,34 +445,46 @@ class ClassifyingCache:
         returned misses (a list, or an int64 array from the array path)
         preserve order and multiplicity, ready to feed the next level.
 
+        ``shadow_hits``, when given, are the fully-associative shadow's
+        verdicts on the batch, one per entry :func:`run_heads` keeps
+        (nonzero for a hit), as a stored trace's annotation supplies
+        them (:func:`repro.trace.replay.replay_stream`).  The batch then
+        takes the array path whatever its size, with these verdicts in
+        place of :func:`lru_hits`'s, and the level keeps no shadow (see
+        the class docstring); ``shadow_misses`` counts the verdicts'
+        misses.  Verdicts of the wrong length raise ``ValueError``.
+
         This is the simulator's hot path, and has two implementations
         of the same semantics, each guarded by the golden-equivalence
         suite against :mod:`repro.cache.reference`:
 
-        * the **array path**, for a batch of at least
+        * the **array path**, for a batch given verdicts, or of at least
           :data:`ARRAY_KERNEL_ENTRIES` entries and at least the level's
           line count, at any associativity: :func:`lru_hits` gives the
           shadow's verdicts from each access's previous use,
           :func:`set_lru_misses` the real cache's from set-local reuse
-          gaps (with one way, the code stored-trace replay runs), and
-          :func:`classify_misses` the classes.  It returns the missed
-          lines as an int64 array and keeps the level's state as arrays
-          (see the class docstring);
+          gaps, and :func:`classify_misses` the classes.  It returns the
+          missed lines as an int64 array and keeps the level's state as
+          arrays (see the class docstring);
         * the **dict loop**, for every other batch, with locals bound
           outside the loop: the access total is hoisted out of it; a
           hit refreshes LRU recency with ``OrderedDict.move_to_end``
-          and an eviction is ``popitem(last=False)``, both O(1); a
+          and an eviction is ``popitem(last=False)``, both O(1); and a
           run-length fast path skips consecutive duplicate lines (a
           line referenced twice in a row is already MRU in both
           structures, so the repeat is a guaranteed hit with no state
-          to update); and a direct-mapped cache takes a dedicated loop
-          in which a real-cache hit does no set mutation at all.
+          to update).
 
-        A direct-mapped cache also leaves the batch positions of its
-        shadow misses in :attr:`shadow_miss_positions` (one list append
-        per shadow miss in the loop), which a trace tap stores as the
-        shadow annotation (:class:`repro.trace.store.TraceCapture`).
+        Both leave the batch positions of the shadow's misses in
+        :attr:`shadow_miss_positions` (one list append per shadow miss
+        in the loop), which a trace tap stores as the shadow annotation
+        (:class:`repro.trace.store.TraceCapture`).
         """
+        if shadow_hits is None and self._shadowless:
+            raise ValueError(
+                f"{self.config.name}: a batch without shadow verdicts after "
+                "one with them: the level has no shadow to classify against"
+            )
         stats = self.stats
         # Run lengths only scale the access total; settle it up front.
         if accesses is None:
@@ -467,9 +492,12 @@ class ClassifyingCache:
         stats.accesses += accesses
 
         entries = len(lines)
-        if entries >= ARRAY_KERNEL_ENTRIES and entries >= self.shadow_capacity:
-            return self._process_array(np.asarray(lines, dtype=np.int64))
-        associativity = self.config.associativity
+        if shadow_hits is not None or (
+            entries >= ARRAY_KERNEL_ENTRIES and entries >= self.shadow_capacity
+        ):
+            return self._process_array(
+                np.asarray(lines, dtype=np.int64), shadow_hits
+            )
         if isinstance(lines, np.ndarray):
             lines = lines.tolist()
 
@@ -480,104 +508,80 @@ class ClassifyingCache:
         evict = shadow_lines.popitem
         sets = self.sets
         set_mask = self.set_mask
+        associativity = self.config.associativity
         misses: list[int] = []
         misses_append = misses.append
+        self._shadow_missed = shadow_missed = []
+        shadow_miss = shadow_missed.append
 
         n_misses = 0
         n_compulsory = 0
         n_capacity = 0
         n_conflict = 0
-        n_shadow_misses = 0
 
         previous = None
-        if associativity == 1:
-            # Direct-mapped loop: a hit needs no recency bookkeeping.
-            self.shadow_miss_positions = shadow_miss_positions = []
-            shadow_missed = shadow_miss_positions.append
-            for index, line in enumerate(lines):
-                if line == previous:
-                    continue  # guaranteed hit, already MRU everywhere
-                previous = line
-                # Shadow (fully-associative LRU of equal capacity).
-                if line in shadow_lines:
-                    shadow_hit = True
-                    refresh(line)
-                else:
-                    shadow_hit = False
-                    shadow_missed(index)
-                    if len(shadow_lines) >= shadow_capacity:
-                        evict(False)
-                    shadow_lines[line] = None
-                # Real cache: one line per set, hit leaves it untouched.
-                cache_set = sets[line & set_mask]
-                if line in cache_set:
-                    continue
-                if cache_set:
-                    cache_set.clear()
-                cache_set[line] = None
-                n_misses += 1
-                misses_append(line)
-                if line not in seen:
-                    seen.add(line)
-                    n_compulsory += 1
-                elif not shadow_hit:
-                    n_capacity += 1
-                else:
-                    n_conflict += 1
-            n_shadow_misses = len(shadow_miss_positions)
-        else:
-            for line in lines:
-                if line == previous:
-                    continue  # guaranteed hit, already MRU everywhere
-                previous = line
-                # Shadow (fully-associative LRU of equal capacity).
-                if line in shadow_lines:
-                    shadow_hit = True
-                    refresh(line)
-                else:
-                    shadow_hit = False
-                    n_shadow_misses += 1
-                    if len(shadow_lines) >= shadow_capacity:
-                        evict(False)
-                    shadow_lines[line] = None
-                # Real cache.
-                cache_set = sets[line & set_mask]
-                if line in cache_set:
-                    cache_set.move_to_end(line)
-                    continue
-                if len(cache_set) >= associativity:
-                    cache_set.popitem(False)
-                cache_set[line] = None
-                n_misses += 1
-                misses_append(line)
-                if line not in seen:
-                    seen.add(line)
-                    n_compulsory += 1
-                elif not shadow_hit:
-                    n_capacity += 1
-                else:
-                    n_conflict += 1
+        for index, line in enumerate(lines):
+            if line == previous:
+                continue  # guaranteed hit, already MRU everywhere
+            previous = line
+            # Shadow (fully-associative LRU of equal capacity).
+            if line in shadow_lines:
+                shadow_hit = True
+                refresh(line)
+            else:
+                shadow_hit = False
+                shadow_miss(index)
+                if len(shadow_lines) >= shadow_capacity:
+                    evict(False)
+                shadow_lines[line] = None
+            # Real cache.
+            cache_set = sets[line & set_mask]
+            if line in cache_set:
+                cache_set.move_to_end(line)
+                continue
+            if len(cache_set) >= associativity:
+                cache_set.popitem(False)
+            cache_set[line] = None
+            n_misses += 1
+            misses_append(line)
+            if line not in seen:
+                seen.add(line)
+                n_compulsory += 1
+            elif not shadow_hit:
+                n_capacity += 1
+            else:
+                n_conflict += 1
 
         stats.misses += n_misses
         stats.compulsory += n_compulsory
         stats.capacity += n_capacity
         stats.conflict += n_conflict
-        self.shadow_misses += n_shadow_misses
+        self.shadow_misses += len(shadow_missed)
         return misses
 
-    def _process_array(self, lines: np.ndarray) -> np.ndarray:
+    def _process_array(
+        self, lines: np.ndarray, shadow_hits: np.ndarray | None
+    ) -> np.ndarray:
         """The array path of :meth:`process`: the misses, statistics,
-        shadow miss positions and state the dict loop would leave."""
-        heads = np.flatnonzero(run_heads(lines))
+        shadow verdicts and state the dict loop would leave."""
+        heads = run_heads(lines)
         lines = lines[heads]
         contents, shadow = self._to_arrays()
-        shadow_hit, self._shadow_lines = lru_hits(
-            shadow, lines, self.shadow_capacity
-        )
-        positions = heads[~shadow_hit]
-        self.shadow_misses += len(positions)
-        if self.config.associativity == 1:
-            self.shadow_miss_positions = positions
+        if shadow_hits is None:
+            shadow_hit, self._shadow_lines = lru_hits(
+                shadow, lines, self.shadow_capacity
+            )
+        else:
+            shadow_hit = np.asarray(shadow_hits, dtype=bool)
+            if len(shadow_hit) != len(lines):
+                raise ValueError(
+                    f"{len(shadow_hit)} shadow verdicts for a batch of "
+                    f"{len(lines)} distinct-run entries"
+                )
+            self._shadow_lines = np.empty(0, dtype=np.int64)
+            self._shadowless = True
+        self.shadow_misses += len(lines) - int(np.count_nonzero(shadow_hit))
+        self._shadow_missed = (heads, shadow_hit)
         miss, self._contents = set_lru_misses(
             lines, contents, self.set_mask, self.config.associativity
         )
@@ -590,11 +594,13 @@ class ClassifyingCache:
 
         Statistics and the compulsory-miss history are preserved: flushing
         models losing residency, not forgetting that a line was ever
-        touched.
+        touched.  A level that took shadow verdicts has an empty shadow
+        again, so batches without verdicts may follow.
         """
         self._contents = np.empty(0, dtype=np.int64)
         self._shadow_lines = np.empty(0, dtype=np.int64)
         self._sets = self._shadow = None
+        self._shadowless = False
 
     def reset(self) -> None:
         """Empty the caches and zero all statistics and history."""

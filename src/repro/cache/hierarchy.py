@@ -39,20 +39,25 @@ def check_counts(lines: np.ndarray, counts: np.ndarray) -> None:
 
 
 def as_batch(lines, counts=None) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """An access batch as int64 arrays plus its reference total.
+    """An access batch as arrays (int64 lines, integer counts) plus its
+    reference total.
 
     ``np.asarray`` leaves the trace recorder's int64 arrays as they
-    are; lists and stored slices are converted once.  A negative line
-    is rejected with one numpy comparison (the shadow's array kernel,
-    :func:`repro.cache.classify.lru_hits`, fills an empty shadow with
-    negative placeholders).  The total is one numpy sum
-    (``len(lines)`` when ``counts`` is ``None``)."""
+    are; lists are converted once.  Integer counts keep their dtype: a
+    stored trace's ``uint32`` counts are checked and summed as they
+    are, since a 64 Ki-entry int64 copy per replay chunk cost more than
+    the checks.  A negative line is rejected with one numpy comparison
+    (the shadow's array kernel, :func:`repro.cache.classify.lru_hits`,
+    fills an empty shadow with negative placeholders).  The total is one
+    numpy sum (``len(lines)`` when ``counts`` is ``None``)."""
     lines = np.asarray(lines, dtype=np.int64)
     if len(lines) and lines.min() < 0:
         raise ValueError(f"line numbers must be non-negative, got {lines.min()}")
     if counts is None:
         return lines, None, len(lines)
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        counts = counts.astype(np.int64)
     check_counts(lines, counts)
     return lines, counts, int(counts.sum())
 
@@ -174,10 +179,9 @@ class CacheHierarchy:
         ``oracle``: ``None`` means off.
 
         An observer reads statistics only (``l1d.stats``, ``l2.stats``).
-        That lets a stored-trace replay keep its vectorized step with an
-        observer attached (:mod:`repro.trace.replay`): there it is called
-        once per replay chunk, and the L1D's set and shadow dicts stay
-        empty."""
+        In a stored-trace replay it is called once per replay chunk
+        (:mod:`repro.trace.replay`), whether the chunk carries the stored
+        shadow verdicts or not."""
         return self._observer
 
     @observer.setter
@@ -205,13 +209,12 @@ class CacheHierarchy:
         with an ``on_access(lines, counts, writes, shadow_misses)``
         method — the capture point for the content-addressed trace
         store.  It runs after the L1D kernel, and is fed every data
-        batch verbatim, as the int64 arrays the kernel got (``counts``
-        may be ``None``), plus the kernel's verdicts on it: the batch
+        batch verbatim, as the arrays the kernel got (int64 lines and
+        integer counts, which may be ``None``), plus the kernel's verdicts on it: the batch
         positions where the fully-associative shadow missed
         (:attr:`ClassifyingCache.shadow_miss_positions`, a list or an
-        int64 array; ``None`` for a set-associative L1D, whose kernel
-        keeps none).  Same sidecar
-        contract: ``None`` means off."""
+        int64 array), at any associativity.  Same sidecar contract:
+        ``None`` means off."""
         return self._tap
 
     @tap.setter
@@ -227,6 +230,8 @@ class CacheHierarchy:
         lines,
         counts=None,
         writes: int = 0,
+        *,
+        shadow_hits=None,
     ) -> tuple:
         """Simulate a batch of data references; return its L1 and L2
         miss lines (L2 lines as the L2 saw them), each a list or, from a
@@ -247,6 +252,10 @@ class CacheHierarchy:
             How many of the references are stores (only read/write
             bookkeeping; allocation policy treats loads and stores alike,
             as DineroIII's default demand-fetch policy does).
+        shadow_hits:
+            The L1D shadow's verdicts on the batch, when a stored trace
+            supplies them (see :meth:`ClassifyingCache.process`); the
+            L1D then simulates no shadow of its own.
 
         The batch reaches the L1D kernel as the int64 array (its dict
         loop takes one ``tolist()``, its array path none), and its L1
@@ -254,13 +263,20 @@ class CacheHierarchy:
         numpy sum.
         """
         lines, counts, total = as_batch(lines, counts)
-        return self._simulate(lines, total, writes)
+        return self._simulate(lines, total, writes, shadow_hits)
 
-    def _simulate(self, lines: np.ndarray, total: int, writes: int) -> tuple:
-        """The kernel work of one checked batch of ``total`` references:
-        the L1 misses reach the L2 as one shifted int64 array."""
-        self.count_data(total, writes)
-        l1_misses = self.l1d.process(lines, accesses=total)
+    def _simulate(
+        self, lines: np.ndarray, total: int, writes: int, shadow_hits
+    ) -> tuple:
+        """The kernel work of one checked batch of ``total`` references,
+        ``writes`` of them stores: the read/write bookkeeping, then the
+        L1D, whose misses reach the L2 as one shifted int64 array."""
+        check_writes(writes, total)
+        self._data_reads += total - writes
+        self._data_writes += writes
+        l1_misses = self.l1d.process(
+            lines, accesses=total, shadow_hits=shadow_hits
+        )
         if not len(l1_misses):
             return l1_misses, []
         l2_lines = np.asarray(l1_misses, dtype=np.int64) >> self._l2_shift
@@ -277,6 +293,8 @@ class CacheHierarchy:
         lines,
         counts=None,
         writes: int = 0,
+        *,
+        shadow_hits=None,
     ) -> tuple:
         """:meth:`access_data` plus the sidecar hooks.
 
@@ -285,13 +303,14 @@ class CacheHierarchy:
         simulates the batch, then the tap records it with the L1D's
         shadow verdicts, and the oracle, observer and profiler look at
         the result.  The tap and the profiler get the batch as the
-        kernel did, as int64 arrays (``counts`` may be ``None``).  The
+        kernel did, as :func:`as_batch` leaves it (``counts`` may be
+        ``None``).  The
         cache work is the plain kernel's own, so attaching a sidecar
         changes *observation*, never *simulation*.
         """
         lines, counts, total = as_batch(lines, counts)
         accesses = self.l1d.stats.accesses
-        l1_misses, l2_misses = self._simulate(lines, total, writes)
+        l1_misses, l2_misses = self._simulate(lines, total, writes, shadow_hits)
         if self._tap is not None:
             self._tap.on_access(
                 lines, counts, writes, self.l1d.shadow_miss_positions
@@ -303,13 +322,6 @@ class CacheHierarchy:
         if self._profiler is not None:
             self._profiler.on_batch(self, lines, counts, writes, l1_misses, l2_misses)
         return l1_misses, l2_misses
-
-    def count_data(self, total: int, writes: int) -> None:
-        """Book ``total`` data references, ``writes`` of them stores —
-        the read/write bookkeeping of one access batch."""
-        check_writes(writes, total)
-        self._data_reads += total - writes
-        self._data_writes += writes
 
     def drain(self) -> None:
         """Feed the references a buffering producer still holds (see

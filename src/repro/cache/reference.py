@@ -3,8 +3,8 @@
 The production kernel
 (:meth:`repro.cache.classify.ClassifyingCache.process`) is tuned for
 throughput — dict-per-set LRU, hoisted access accounting, a run-length
-hit fast path, a dedicated direct-mapped loop, and a numpy path for
-large batches.  Optimized hot loops rot
+hit fast path, and a numpy path for large batches and for batches
+given stored shadow verdicts.  Optimized hot loops rot
 silently, so this module keeps a maximally transparent implementation
 of the same semantics: one access at a time, every LRU structure a
 plain Python list in recency order, no batching tricks anywhere.  The
@@ -21,7 +21,8 @@ whose contents are this class's sets, one after another, each least
 recently used first).  :func:`shadow_hit_bits` is the spec of the
 shadow's verdicts (:func:`repro.cache.classify.lru_hits`) and of the
 trace store's shadow annotation, which must equal the live kernel's
-verdicts.
+verdicts at every associativity: replay feeds it back to the kernel
+in place of the shadow.
 
 Nothing in the simulator imports this module; it exists only for tests
 and benchmarks and favors obviousness over speed.

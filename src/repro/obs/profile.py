@@ -35,8 +35,8 @@ DESIGN.md §14.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from contextlib import contextmanager
+from itertools import chain
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -95,11 +95,6 @@ def fold_object_name(name: str) -> str:
     return name
 
 
-def _ints(misses: list[int] | np.ndarray) -> list[int]:
-    """A level's miss lines as a list of ints."""
-    return misses.tolist() if isinstance(misses, np.ndarray) else misses
-
-
 class LocalityProfiler:
     """Charges every simulated reference to (fork site, bin, object).
 
@@ -150,14 +145,15 @@ class LocalityProfiler:
         self._prev_l1_classes = (0, 0, 0)
         self._prev_rates: dict[str, tuple[int, int]] = {}
         self._timeline: list[dict[str, Any]] = []
-        self._l1_shift: int | None = None
         # Object index over the address space, rebuilt lazily as the
-        # program allocates (the bump allocator only appends).
+        # program allocates (the bump allocator only appends): the
+        # allocations' bases and ends in base order behind a sentinel
+        # that owns nothing, each one's object id, and the object names
+        # by id, UNMAPPED last.
         self._indexed = -1
-        self._bases: list[int] = []
-        self._ends: list[int] = []
-        self._slots: list[list[int]] = []
-        self._folded: list[str] = []
+        self._bases = self._ends = np.full(1, -1, dtype=np.int64)
+        self._ids = np.zeros(1, dtype=np.intp)
+        self._names = [UNMAPPED]
 
     # ------------------------------------------------------------------
     # Context hooks (thread package)
@@ -198,8 +194,8 @@ class LocalityProfiler:
         l1_misses: list[int] | np.ndarray,
         l2_misses: list[int] | np.ndarray,
     ) -> None:
-        """Charge one processed access batch (int64 arrays, as the
-        kernel got it) and its misses (lists, or int64 arrays from a
+        """Charge one processed access batch (int64 lines and integer
+        counts, as the kernel got it) and its misses (lists, or int64 arrays from a
         level's array path) to the current context."""
         total = int(counts.sum()) if counts is not None else len(lines)
         key = (self._site, self._bin)
@@ -247,19 +243,38 @@ class LocalityProfiler:
         allocations = self.space.allocations
         self._indexed = len(allocations)
         ordered = sorted(allocations, key=lambda a: a.base)
-        self._bases = [a.base for a in ordered]
-        self._ends = [a.end for a in ordered]
-        slots = []
-        folded_names = []
-        for allocation in ordered:
-            folded = fold_object_name(allocation.name)
-            slot = self._objects.get(folded)
-            if slot is None:
-                slot = self._objects[folded] = [0, 0, 0]
-            slots.append(slot)
-            folded_names.append(folded)
-        self._slots = slots
-        self._folded = folded_names
+        folded = [fold_object_name(a.name) for a in ordered]
+        names = [*dict.fromkeys(folded), UNMAPPED]
+        ids = {name: index for index, name in enumerate(names)}
+        self._bases = np.array([-1] + [a.base for a in ordered], dtype=np.int64)
+        self._ends = np.array([-1] + [a.end for a in ordered], dtype=np.int64)
+        self._ids = np.array(
+            [len(names) - 1] + [ids[name] for name in folded], dtype=np.intp
+        )
+        self._names = names
+        for name in names:
+            self._objects.setdefault(name, [0, 0, 0])
+
+    def _owners(self, lines, shift: int) -> np.ndarray:
+        """The object id of each line's first address: one
+        ``np.searchsorted`` over the allocation bases, masked by their
+        ends."""
+        addresses = np.asarray(lines, dtype=np.int64) << shift
+        index = np.searchsorted(self._bases, addresses, side="right") - 1
+        return np.where(
+            addresses < self._ends[index], self._ids[index], len(self._names) - 1
+        )
+
+    def _tally(self, ids: np.ndarray, weights=None) -> list[tuple[str, int]]:
+        """``(object name, count)`` for each object that ``ids`` names,
+        each entry counted ``weights`` times (once when ``None``)."""
+        counts = np.bincount(ids, weights, minlength=len(self._names))
+        counts = counts.astype(np.int64)  # weighted sums are exact floats
+        names = self._names
+        return [
+            (names[index], int(counts[index]))
+            for index in np.flatnonzero(counts).tolist()
+        ]
 
     def _charge_objects(
         self,
@@ -271,43 +286,22 @@ class LocalityProfiler:
     ) -> None:
         if self._indexed != len(self.space.allocations):
             self._rebuild_index()
-        shift = self._l1_shift
-        if shift is None:
-            shift = self._l1_shift = hierarchy.l1d.config.line_bits
-        bases = self._bases
-        ends = self._ends
-        slots = self._slots
-        unmapped = self._objects.get(UNMAPPED)
-        if unmapped is None:
-            unmapped = self._objects[UNMAPPED] = [0, 0, 0]
-
-        def owner(address: int) -> list[int]:
-            i = bisect_right(bases, address) - 1
-            if i >= 0 and address < ends[i]:
-                return slots[i]
-            return unmapped
-
-        # One conversion each for the per-entry walk (a level's array
-        # path returns its misses as an int64 array, whose elements are
-        # several times slower to shift and bisect than ints).
-        if counts is None:
-            for line in lines.tolist():
-                owner(line << shift)[0] += 1
-        else:
-            for line, count in zip(lines.tolist(), counts.tolist()):
-                owner(line << shift)[0] += count
-        for line in _ints(l1_misses):
-            owner(line << shift)[1] += 1
+        shift = hierarchy.l1d.config.line_bits
+        objects = self._objects
+        charges = [
+            (0, self._owners(lines, shift), counts),
+            (1, self._owners(l1_misses, shift), None),
+        ]
         if len(l2_misses):
             if hierarchy.l2_page_mapper is not None:
-                translated = self._objects.get(TRANSLATED)
-                if translated is None:
-                    translated = self._objects[TRANSLATED] = [0, 0, 0]
+                translated = objects.setdefault(TRANSLATED, [0, 0, 0])
                 translated[2] += len(l2_misses)
             else:
                 l2_shift = hierarchy.l2.config.line_bits
-                for line in _ints(l2_misses):
-                    owner(line << l2_shift)[2] += 1
+                charges.append((2, self._owners(l2_misses, l2_shift), None))
+        for column, ids, weights in charges:
+            for name, count in self._tally(ids, weights):
+                objects[name][column] += count
 
     # ------------------------------------------------------------------
     # Occupancy / miss-rate timeline
@@ -320,26 +314,14 @@ class LocalityProfiler:
             if not resident:
                 return {}
             return {TRANSLATED: round(resident / num_lines, 6)}
-        shift = level.config.line_bits
         if self.space is not None and self._indexed != len(self.space.allocations):
             self._rebuild_index()
-        held: dict[str, int] = {}
-        bases = self._bases
-        ends = self._ends
-        folded = self._folded
-        for cache_set in level.sets:
-            for line in cache_set:
-                address = line << shift
-                i = bisect_right(bases, address) - 1
-                if i >= 0 and address < ends[i]:
-                    name = folded[i]
-                else:
-                    name = UNMAPPED
-                held[name] = held.get(name, 0) + 1
-        return {
-            name: round(count / num_lines, 6)
-            for name, count in sorted(held.items())
-        }
+        sets = level.sets
+        lines = np.fromiter(
+            chain.from_iterable(sets), dtype=np.int64, count=sum(map(len, sets))
+        )
+        held = self._tally(self._owners(lines, level.config.line_bits))
+        return {name: round(count / num_lines, 6) for name, count in sorted(held)}
 
     def _sample(self, hierarchy: Any) -> None:
         sample: dict[str, Any] = {"batch": self._batches, "refs": self._refs}

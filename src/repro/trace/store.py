@@ -68,12 +68,12 @@ MAX_TRACE_BYTES = 256 << 20
 #: :func:`~repro.cache.classify.run_heads` keeps: a consecutive
 #: duplicate line is a guaranteed hit with no state change in either
 #: the real cache or the shadow, so the kernel's run-length fast path
-#: skips it, and replay recomputes the same mask to align): the shadow
+#: skips it, and replay slices the verdicts by the same mask): the shadow
 #: evolves on every access, which is inherently sequential, so the
-#: live kernel's verdicts are kept and replayed as data — the
-#: vectorized replay kernel then needs no sequential state at all.  A
-#: set-associative L1D's object carries an empty annotation: it replays
-#: through the dict step, which runs its own shadow.
+#: live kernel's verdicts are kept and replayed as data, and replay
+#: never simulates the shadow again.  Every L1D's object carries one;
+#: an older store's set-associative objects carry an empty annotation,
+#: and replay through a level that simulates its own shadow.
 _ARRAY_DTYPES = {
     "lines": "<i8",
     "counts": "<u4",
@@ -221,14 +221,13 @@ class TraceCapture:
     ``access_data`` call appends one batch — lines, counts and write
     totals exactly as fed — so replaying the capture reproduces the
     cache simulation bit for bit, batch boundaries included.  The
-    batches arrive as the int64 arrays the kernel got; the tap keeps
+    batches arrive as the arrays the kernel got; the tap keeps
     each lines array as it is, uncopied, and each counts array narrowed
     to the stored ``uint32``, until :meth:`arrays` concatenates them.
-    The tap runs after the kernel, and keeps the positions where a
-    direct-mapped L1D's shadow missed as int64 arrays at stream
-    offsets, one per batch: they become the stored shadow annotation
-    (:func:`shadow_annotation`).  A set-associative kernel passes no
-    verdicts, and its object stores no annotation.
+    The tap runs after the kernel, and keeps the positions where the
+    L1D's shadow missed as int64 arrays at stream offsets, one per
+    batch: they become the stored shadow annotation
+    (:func:`shadow_annotation`).
     """
 
     def __init__(self) -> None:
@@ -240,9 +239,9 @@ class TraceCapture:
         self._length = 0
 
     def on_access(self, lines, counts, writes: int, shadow_misses) -> None:
-        """Record one simulated batch of int64 arrays (``counts`` may be
-        ``None``); ``shadow_misses`` are the batch positions where the
-        L1D's shadow missed (a list or an int64 array), or ``None``."""
+        """Record one simulated batch: int64 lines and integer counts
+        (``counts`` may be ``None``); ``shadow_misses`` are the batch positions where the
+        L1D's shadow missed (a list or an int64 array)."""
         # Counts narrow to the stored <u4 as they arrive, which holds
         # the tap to 12 bytes per entry until the store.
         counts = (
@@ -250,7 +249,7 @@ class TraceCapture:
             if counts is None
             else counts.astype(np.uint32)
         )
-        if shadow_misses is not None and len(shadow_misses):
+        if len(shadow_misses):
             self._shadow_misses.append(
                 np.add(shadow_misses, self._length, dtype=np.int64)
             )
@@ -637,14 +636,9 @@ class TraceStore:
             return digest
         header = build_header(key, result, code_footprint, machine)
         arrays = capture.arrays()
-        if machine.l1d.associativity == 1:
-            arrays["shadow_hits"] = shadow_annotation(
-                arrays["lines"], capture.shadow_misses()
-            )
-        else:
-            # The dict step replays a set-associative L1D and runs its
-            # own shadow; it never reads an annotation.
-            arrays["shadow_hits"] = np.empty(0, dtype=np.uint8)
+        arrays["shadow_hits"] = shadow_annotation(
+            arrays["lines"], capture.shadow_misses()
+        )
         lengths = {name: len(array) for name, array in arrays.items()}
         _, size = container_layout(header, lengths, int(arrays["counts"].sum()))
         if size > MAX_TRACE_BYTES:

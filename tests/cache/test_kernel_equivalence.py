@@ -251,10 +251,7 @@ class TestArrayPath:
             assert list(misses) == expected
             array_path = isinstance(misses, np.ndarray)
             assert array_path == (len(batch) >= large_at)
-            if ways == 1:
-                assert list(optimized.shadow_miss_positions) == positions
-            else:
-                assert optimized.shadow_miss_positions is None
+            assert list(optimized.shadow_miss_positions) == positions
             assert_same_state(optimized, reference)
             if rng.random() < 0.25:
                 optimized.flush()
@@ -289,6 +286,32 @@ class TestArrayPath:
         rest = lines[ARRAY_KERNEL_ENTRIES:]
         assert list(cache.process(rest)) == reference.process(rest)
         assert_same_state(cache, reference)
+
+
+class TestShadowVerdicts:
+    """A batch given the shadow's verdicts, as stored-trace replay passes
+    them, leaves the level without a shadow to continue from."""
+
+    def test_verdicts_of_the_wrong_length_raise(self):
+        cache = ClassifyingCache(make_config(2))
+        lines = np.array([1, 2, 2, 3], dtype=np.int64)  # three run heads
+        for wrong in (2, 4):
+            with pytest.raises(ValueError, match="shadow verdicts"):
+                cache.process(lines, shadow_hits=np.ones(wrong, np.uint8))
+
+    @pytest.mark.parametrize("ways", [1, 2])
+    def test_a_batch_on_its_own_shadow_after_verdicts_raises(self, ways):
+        cache = ClassifyingCache(make_config(ways))
+        cache.process(
+            np.array([1, 2, 3], dtype=np.int64),
+            shadow_hits=np.zeros(3, np.uint8),
+        )
+        assert cache.shadow_misses == 3
+        for batch in ([4], random_trace(16, 2 * ARRAY_KERNEL_ENTRIES, 96)):
+            with pytest.raises(ValueError, match="no shadow"):
+                cache.process(batch)
+        cache.flush()
+        assert cache.process([4]) == [4]
 
 
 class TestStateHandoff:

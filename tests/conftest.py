@@ -59,9 +59,9 @@ def simulator(r8000_small) -> Simulator:
 
 @pytest.fixture
 def vectorized_replays(monkeypatch) -> list:
-    """The stored traces replayed through the numpy step, in order:
-    ``replay_into`` calls ``replay_stream`` through the module global
-    once per vectorized replay."""
+    """The stored traces replayed with their stored shadow verdicts, in
+    order: ``replay_into`` calls ``replay_stream`` through the module
+    global once per such replay."""
     calls: list = []
     real = replay_module.replay_stream
 

@@ -10,7 +10,11 @@ and the three L1 miss classes.
 """
 
 import json
+import random
+from bisect import bisect_right
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.apps.matmul.config import MatmulConfig
@@ -21,6 +25,8 @@ from repro.obs.profile import (
     MAIN_SITE,
     NO_BIN,
     PROFILE_SCHEMA_VERSION,
+    UNMAPPED,
+    LocalityProfiler,
     ProfileCollector,
     check_schema,
     collector_scope,
@@ -175,6 +181,77 @@ class TestCollectorScope:
                 pass
             assert current_collector() is outer
         assert current_collector() is None
+
+
+def reference_owner(allocations, address: int) -> str:
+    """The folded name of the allocation owning ``address``, one
+    ``bisect_right`` per address: the per-entry spec of the profiler's
+    array-at-a-time lookup."""
+    ordered = sorted(allocations, key=lambda a: a.base)
+    i = bisect_right([a.base for a in ordered], address) - 1
+    if i >= 0 and address < ordered[i].end:
+        return fold_object_name(ordered[i].name)
+    return UNMAPPED
+
+
+class TestObjectCharge:
+    """The array-at-a-time object charge and occupancy against a
+    per-entry bisect over the allocations, on random address spaces
+    with gaps, folded instance names and lines outside every
+    allocation."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_a_per_entry_lookup(self, seed):
+        rng = random.Random(seed)
+        # Sizes and gaps in whole 32-byte lines, or odd, so line
+        # addresses land on allocation bases and ends.
+        allocations, base = [], rng.choice([0, 32, 40])
+        for index in range(rng.randrange(1, 12)):
+            size = rng.choice([32 * rng.randrange(1, 12), rng.randrange(1, 400)])
+            name = rng.choice(["A", "grid", f"th_group_{index}"])
+            allocations.append(SimpleNamespace(name=name, base=base, end=base + size))
+            base += size + rng.choice([0, 0, 32, 17])
+        rng.shuffle(allocations)
+        hierarchy = r8000(64).build_hierarchy()
+        l1_bits = hierarchy.l1d.config.line_bits
+        l2_bits = hierarchy.l2.config.line_bits
+        profiler = LocalityProfiler("p", "m", space=SimpleNamespace(allocations=allocations))
+        expected: dict[str, list[int]] = {}
+        for _ in range(6):
+            n = rng.randrange(0, 40)
+            lines = np.array(
+                [rng.randrange(0, (base >> l1_bits) + 3) for _ in range(n)],
+                dtype=np.int64,
+            )
+            counts = np.array([rng.randrange(1, 5) for _ in range(n)])
+            l1 = [int(line) for line in lines if rng.random() < 0.4]
+            l2 = [line >> (l2_bits - l1_bits) for line in l1 if rng.random() < 0.5]
+            profiler._charge_objects(hierarchy, lines, counts, np.array(l1, dtype=np.int64), l2)
+            for column, misses, bits, weights in (
+                (0, lines.tolist(), l1_bits, counts.tolist()),
+                (1, l1, l1_bits, [1] * len(l1)),
+                (2, l2, l2_bits, [1] * len(l2)),
+            ):
+                for line, weight in zip(misses, weights):
+                    name = reference_owner(allocations, line << bits)
+                    expected.setdefault(name, [0, 0, 0])[column] += weight
+        charged = {name: slot for name, slot in profiler._objects.items() if any(slot)}
+        assert charged == {name: slot for name, slot in expected.items() if any(slot)}
+
+        resident = np.array(
+            [rng.randrange(0, (base >> l1_bits) + 3) for _ in range(300)],
+            dtype=np.int64,
+        )
+        hierarchy.l1d.process(resident)
+        held: dict[str, int] = {}
+        for cache_set in hierarchy.l1d.sets:
+            for line in cache_set:
+                name = reference_owner(allocations, line << l1_bits)
+                held[name] = held.get(name, 0) + 1
+        num_lines = hierarchy.l1d.config.num_lines
+        assert profiler._occupancy(hierarchy, "l1", hierarchy.l1d) == {
+            name: round(count / num_lines, 6) for name, count in sorted(held.items())
+        }
 
 
 class TestHelpers:

@@ -1,4 +1,4 @@
-"""Simulator.replay: guards, chunking, the two chunk steps, and memory."""
+"""Simulator.replay: guards, chunking, stored shadow verdicts, and memory."""
 
 import tracemalloc
 from dataclasses import replace
@@ -26,7 +26,6 @@ from repro.sim.engine import Simulator
 from repro.trace.replay import (
     REPLAY_CHUNK_LINES,
     _chunk_batches,
-    fast_replay_supported,
     replay_into,
     replay_stream,
 )
@@ -106,11 +105,10 @@ class TestVerifiedReplay:
         self, stored_sor, vectorized_replays
     ):
         # With verification on, the replay hierarchy carries a cache
-        # oracle, so fast_replay_supported must refuse and the chunked
-        # dict-kernel path runs under full oracle cross-checking.
+        # oracle, which audits a shadow the L1D must simulate itself: the
+        # stored verdicts go unused, under full oracle cross-checking.
         machine, live, stored = stored_sor
-        hierarchy = machine.build_hierarchy()
-        assert fast_replay_supported(hierarchy, stored)
+        assert len(stored.shadow_hits)
 
         replayed = Simulator(machine, verify=True).replay(stored)
         assert vectorized_replays == []
@@ -118,20 +116,6 @@ class TestVerifiedReplay:
         assert replayed.stats == live.stats
         assert replayed.time == live.time
         assert replace(replayed.sched, seq=0) == replace(live.sched, seq=0)
-
-
-class TestStepChoice:
-    def test_only_an_observer_keeps_the_numpy_step(self, stored_sor):
-        # The sampler reads statistics only; the oracle reads the set and
-        # shadow dicts, the profiler and the tap each batch's lines.
-        machine, _, stored = stored_sor
-        hierarchy = machine.build_hierarchy()
-        hierarchy.observer = CacheSampler(Telemetry())
-        assert fast_replay_supported(hierarchy, stored)
-        for slot in ("oracle", "profiler", "tap"):
-            setattr(hierarchy, slot, object())
-            assert not fast_replay_supported(hierarchy, stored), slot
-            setattr(hierarchy, slot, None)
 
 
 class TestChunkBatches:
@@ -195,9 +179,11 @@ class TestReplayMetrics:
 
 
 #: A direct-mapped 8-line L1D over a 2-way L2 with twice its line size:
-#: lines drawn from 0..39 collide in every set.
+#: lines drawn from 0..39 collide in every set.  ``TWO_WAY_L1D`` has the
+#: same 8 lines in 4 sets of 2, so the two share one shadow annotation.
 SMALL_L1I = CacheConfig("L1I", size=256, line_size=32, associativity=1)
 SMALL_L1D = CacheConfig("L1D", size=256, line_size=32, associativity=1)
+TWO_WAY_L1D = CacheConfig("L1D", size=256, line_size=32, associativity=2)
 SMALL_L2 = CacheConfig("L2", size=1024, line_size=64, associativity=2)
 
 
@@ -217,25 +203,31 @@ def stored_stream(lines, counts, ends, writes) -> StoredTrace:
     )
 
 
-def replay_synthetic(stored, numpy_step: bool, interval: int):
-    """Replay ``stored`` into a fresh small hierarchy under a sampler
-    through one step; return the snapshot, the compulsory history and
-    the sampler's series without their timestamps."""
-    hierarchy = CacheHierarchy(SMALL_L1I, SMALL_L1D, SMALL_L2)
+def without_annotation(stored: StoredTrace) -> StoredTrace:
+    """``stored`` as an older store keeps a set-associative L1D's
+    object: no shadow annotation, so replay runs the L1D's own shadow."""
+    return replace(stored, shadow_hits=np.empty(0, dtype=np.uint8))
+
+
+def replay_synthetic(stored, numpy_step: bool, interval: int, l1d=SMALL_L1D):
+    """Replay ``stored`` into a fresh small hierarchy under a sampler,
+    with the stored shadow verdicts (``numpy_step``) or on the L1D's own
+    shadow; return the snapshot, the compulsory history, the L1D's
+    shadow miss count, its sets' lines and the sampler's series without
+    their timestamps."""
+    hierarchy = CacheHierarchy(SMALL_L1I, l1d, SMALL_L2)
     obs = Telemetry()
     sampler = CacheSampler(obs, program="synthetic", interval=interval)
     hierarchy.observer = sampler
     if numpy_step:
         replay_stream(hierarchy, stored)
     else:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(
-                replay_module, "fast_replay_supported", lambda *_: False
-            )
-            replay_into(hierarchy, stored)
+        replay_into(hierarchy, without_annotation(stored))
     sampler.sample(hierarchy)
+    l1 = hierarchy.l1d
     return (
-        hierarchy.snapshot(), set(hierarchy.l1d._seen), sampler_series(obs)
+        hierarchy.snapshot(), set(l1._seen), l1.shadow_misses,
+        [list(cache_set) for cache_set in l1.sets], sampler_series(obs),
     )
 
 
@@ -261,8 +253,9 @@ def streams(draw):
 
 
 class TestLiveAnnotation:
-    """The tap keeps the live direct-mapped kernel's shadow verdicts,
-    and the annotation the store builds from them is the spec's.
+    """The tap keeps the live kernel's shadow verdicts at every
+    associativity, and the annotation the store builds from them is the
+    spec's.
 
     Batches cut runs of equal lines, so a batch often opens on the
     previous batch's last line (simulated by the kernel, skipped by the
@@ -286,16 +279,22 @@ class TestLiveAnnotation:
             patch.setattr(classify_module, "ARRAY_KERNEL_ENTRIES", 1)
             check_live_annotation(stream)
 
+    @settings(max_examples=150, deadline=None)
+    @given(stream=streams())
+    @example(stream=([3, 7, 7, 3, 3, 40], [1] * 6, [2, 2, 4, 6], [0] * 4))
+    def test_two_way_annotation_is_the_specs(self, stream):
+        check_live_annotation(stream, TWO_WAY_L1D)
 
-def check_live_annotation(stream) -> None:
+
+def check_live_annotation(stream, l1d=SMALL_L1D) -> None:
     """Feed ``stream`` through a tapped hierarchy batch by batch; the
     tap's annotation must be the spec's, and the kernel's shadow miss
     positions the reference's."""
     lines, counts, ends, writes = stream
-    hierarchy = CacheHierarchy(SMALL_L1I, SMALL_L1D, SMALL_L2)
+    hierarchy = CacheHierarchy(SMALL_L1I, l1d, SMALL_L2)
     capture = TraceCapture()
     hierarchy.tap = capture
-    reference = ReferenceClassifyingCache(SMALL_L1D)
+    reference = ReferenceClassifyingCache(l1d)
     reference_misses = []
     start = 0
     for end, batch_writes in zip(ends, writes):
@@ -312,20 +311,31 @@ def check_live_annotation(stream) -> None:
     stream_lines = capture.arrays()["lines"]
     annotation = shadow_annotation(stream_lines, capture.shadow_misses())
     spec = shadow_hit_bits(
-        stream_lines[run_heads(stream_lines)], SMALL_L1D.num_lines
+        stream_lines[run_heads(stream_lines)], l1d.num_lines
     )
     assert annotation.tolist() == spec.tolist()
     assert hierarchy.l1d.shadow_misses == len(spec) - int(spec.sum())
     assert capture.shadow_misses().tolist() == reference_misses
 
 
+STEP_EXAMPLE = dict(
+    stream=([3, 7, 7, 3, 40, 11, 11, 3], [1] * 8, list(range(1, 9)), [0] * 8),
+    chunk=2,
+    interval=1,
+)
+
+
 class TestNumpyStep:
-    """The numpy step against the dict step, chunk cut by chunk cut.
+    """Replay with the stored shadow verdicts (each chunk through the
+    L1D's array path) against replay on the L1D's own shadow (chunks of
+    a few entries: its dict loop), chunk cut by chunk cut.
 
     With chunks of a few entries, runs of equal lines straddle chunk
     cuts, lines left resident by one chunk hit in the next, and
     first-ever lines arrive in later chunks; the explicit example pins
-    all three (chunks [3, 7] [7, 3] [40, 11] [11, 3]).
+    all three (chunks [3, 7] [7, 3] [40, 11] [11, 3]).  Each chunk that
+    opens on the previous chunk's last line takes a leading hit that
+    the annotation, which drops that entry, does not hold.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -334,18 +344,19 @@ class TestNumpyStep:
         chunk=st.integers(1, 6),
         interval=st.integers(1, 12),
     )
-    @example(
-        stream=([3, 7, 7, 3, 40, 11, 11, 3], [1] * 8,
-                list(range(1, 9)), [0] * 8),
-        chunk=2,
-        interval=1,
-    )
+    @example(**STEP_EXAMPLE)
     def test_matches_dict_step(self, stream, chunk, interval):
-        stored = stored_stream(*stream)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(replay_module, "REPLAY_CHUNK_LINES", chunk)
-            numpy_step = replay_synthetic(stored, True, interval)
-            assert numpy_step == replay_synthetic(stored, False, interval)
+        check_stored_verdicts(SMALL_L1D, stream, chunk, interval)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stream=streams(),
+        chunk=st.integers(1, 6),
+        interval=st.integers(1, 12),
+    )
+    @example(**STEP_EXAMPLE)
+    def test_two_way_matches_dict_step(self, stream, chunk, interval):
+        check_stored_verdicts(TWO_WAY_L1D, stream, chunk, interval)
 
     def test_empty_stream(self):
         for ends in ([], [0, 0]):
@@ -377,13 +388,21 @@ class TestNumpyStep:
                 )
 
 
+def check_stored_verdicts(l1d, stream, chunk, interval) -> None:
+    stored = stored_stream(*stream)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replay_module, "REPLAY_CHUNK_LINES", chunk)
+        stored_verdicts = replay_synthetic(stored, True, interval, l1d)
+        assert stored_verdicts == replay_synthetic(stored, False, interval, l1d)
+
+
 class TestReplayMemory:
     def test_sampled_replay_memory_is_bounded_by_the_chunk(
         self, tmp_path, vectorized_replays
     ):
         # The quick table-3 threaded matmul stream, replayed the way a
-        # saved campaign replays it: under a live Telemetry.  The numpy
-        # step allocates per chunk; a whole-stream temporary of this
+        # saved campaign replays it: under a live Telemetry.  Replay
+        # allocates per chunk; a whole-stream temporary of this
         # stream's 1.85M entries alone would take 15 MB.
         config = table2_matmul_perf.config(True)
         machine = r8000_scaled(True)

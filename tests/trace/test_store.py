@@ -2,9 +2,11 @@
 
 The core contract — replaying a stored stream reproduces the live
 simulation's statistics *exactly* — is pinned on all four paper
-applications, on both a direct-mapped-L1 machine (the vectorized replay
-kernel, with and without a telemetry sampler) and a 2-way machine (the
-chunked dict-kernel fallback).  The comparisons ignore ``sched.seq`` (a
+applications on a direct-mapped-L1 machine (with the stored shadow
+verdicts, with and without a telemetry sampler, and on the L1D's own
+shadow), and on a 2-way machine, whose objects store verdicts too (and
+whose older, annotation-less objects replay on their own shadow).  The
+comparisons ignore ``sched.seq`` (a
 process-wide dispatch ordinal that is never serialized into manifests
 or tables) and ``payload`` (replay reproduces statistics, not program
 output).
@@ -25,7 +27,6 @@ from repro.machine.presets import r8000, r10000
 from repro.obs import Telemetry
 from repro.resilience.errors import CheckpointError
 from repro.sim.engine import Simulator
-import repro.trace.replay as replay_module
 import repro.trace.store as store_module
 from repro.cache.classify import run_heads
 from repro.trace.store import (
@@ -96,6 +97,12 @@ def put_at_barrier(root, barrier, results):
     results.put(store.put(key, capture, live, machine, 4096))
 
 
+def without_annotation(stored):
+    """``stored`` as an older store keeps a set-associative L1D's
+    object: no shadow annotation."""
+    return replace(stored, shadow_hits=np.empty(0, dtype=np.uint8))
+
+
 def sampled_replay(machine, stored):
     """Replay ``stored`` under a live Telemetry, as a saved campaign
     does; return the result and the sampler's series without their
@@ -110,10 +117,11 @@ class TestRoundTrip:
         "app,factory,config", APPS, ids=[a[0] for a in APPS]
     )
     def test_replay_matches_live_direct_mapped(
-        self, tmp_path, monkeypatch, vectorized_replays, app, factory, config
+        self, tmp_path, vectorized_replays, app, factory, config
     ):
-        # r8000's L1D is direct-mapped: the vectorized replay kernel,
-        # with no sidecar and with the sampler a saved campaign attaches.
+        # r8000's L1D is direct-mapped: replay with the stored shadow
+        # verdicts, with no sidecar and with the sampler a saved
+        # campaign attaches.
         machine = r8000(64)
         live, replayed, store, key = store_and_replay(
             tmp_path, factory, config, machine
@@ -125,25 +133,40 @@ class TestRoundTrip:
         sampled, series = sampled_replay(machine, store.get(key))
         assert len(vectorized_replays) == 2
         assert_same_run(live, sampled)
-        # The dict step cuts the stream at the same chunk boundaries, so
-        # the sampler must record the same series on both.
-        monkeypatch.setattr(
-            replay_module, "fast_replay_supported", lambda *_: False
+        # Without the annotation the L1D runs its own shadow over the
+        # same chunks, so the sampler must record the same series.
+        own_shadow, own_series = sampled_replay(
+            machine, without_annotation(store.get(key))
         )
-        chunked, dict_series = sampled_replay(machine, store.get(key))
         assert len(vectorized_replays) == 2
-        assert_same_run(live, chunked)
+        assert_same_run(live, own_shadow)
         assert series["cache.l1.classes"]
-        assert series == dict_series
+        assert series == own_series
 
     def test_replay_matches_live_two_way(self, tmp_path, vectorized_replays):
-        # r10000's 2-way L1D declines the vectorized kernel; the chunked
-        # dict-kernel fallback must be just as exact.
-        live, replayed, _, _ = store_and_replay(
+        # r10000's 2-way L1D stores its shadow verdicts too, and replays
+        # with them.
+        live, replayed, store, key = store_and_replay(
             tmp_path, MATMUL["threaded"], MatmulConfig.quick(), r10000(64)
         )
         assert_same_run(live, replayed)
-        assert vectorized_replays == []
+        assert len(vectorized_replays) == 1
+        assert len(store.get(key).shadow_hits)
+
+    def test_older_two_way_object_replays_on_its_own_shadow(
+        self, tmp_path, vectorized_replays
+    ):
+        # An older store kept no annotation for a set-associative L1D;
+        # its objects keep their key and replay exactly, simulating the
+        # L1D's shadow.
+        machine = r10000(64)
+        live, _, store, key = store_and_replay(
+            tmp_path, MATMUL["threaded"], MatmulConfig.quick(), machine
+        )
+        older = without_annotation(store.get(key))
+        replayed = Simulator(machine, verify=False).replay(older)
+        assert_same_run(live, replayed)
+        assert len(vectorized_replays) == 1
 
     def test_second_lookup_hits(self, tmp_path):
         _, _, store, key = store_and_replay(
@@ -336,14 +359,14 @@ class TestSizeCap:
         )
         assert len(stored.shadow_hits) == 60_000
 
-    def test_size_check_is_exact_without_annotation(
+    def test_size_check_is_exact_on_a_two_way_l1d(
         self, tmp_path, monkeypatch, many_batches_set_associative
     ):
         stored = assert_stored_at_exactly_the_cap(
             tmp_path, monkeypatch, many_batches_set_associative
         )
         assert len(stored.lines) == 60_000
-        assert len(stored.shadow_hits) == 0
+        assert len(stored.shadow_hits) == 60_000
 
 
 class TestShadowAnnotation:
