@@ -312,8 +312,13 @@ def classify_misses(
     if not n_misses:
         return
     # A first-ever line cannot hit in the shadow, so the sum check
-    # below also checks the verdicts against the history.
-    distinct, first = np.unique(missed, return_index=True)
+    # below also checks the verdicts against the history.  Each line's
+    # first miss heads its run in the stable order (np.unique's
+    # return_index, without its merge sort).
+    order = stable_order(missed)
+    heads = run_heads(missed[order])
+    first = order[heads]
+    distinct = missed[first]
     new = ~np.fromiter(
         map(seen.__contains__, distinct.tolist()), dtype=bool,
         count=len(distinct),
@@ -381,7 +386,7 @@ class ClassifyingCache:
         batch positions, in order, of the entries it missed on (a list
         from the dict loop, an int64 array from the array path, computed
         here from the batch's run heads and verdicts).  A trace tap
-        stores them as the shadow annotation
+        stores the L1D's and the L2's as their shadow annotations
         (:class:`repro.trace.store.TraceCapture`)."""
         missed = self._shadow_missed
         if isinstance(missed, tuple):
@@ -447,8 +452,10 @@ class ClassifyingCache:
 
         ``shadow_hits``, when given, are the fully-associative shadow's
         verdicts on the batch, one per entry :func:`run_heads` keeps
-        (nonzero for a hit), as a stored trace's annotation supplies
-        them (:func:`repro.trace.replay.replay_stream`).  The batch then
+        (nonzero for a hit), as a stored trace's annotations supply
+        them (:func:`repro.trace.replay.replay_stream`, and for the L2
+        :meth:`repro.cache.hierarchy.CacheHierarchy.access_data`).  The
+        batch then
         takes the array path whatever its size, with these verdicts in
         place of :func:`lru_hits`'s, and the level keeps no shadow (see
         the class docstring); ``shadow_misses`` counts the verdicts'

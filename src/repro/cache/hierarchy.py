@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.classify import ClassifyingCache, LevelStats
+from repro.cache.classify import ClassifyingCache, LevelStats, run_heads
 from repro.cache.config import CacheConfig
 
 
@@ -206,15 +206,18 @@ class CacheHierarchy:
     @property
     def tap(self):
         """Optional trace tap (:class:`repro.trace.store.TraceCapture`)
-        with an ``on_access(lines, counts, writes, shadow_misses)``
-        method — the capture point for the content-addressed trace
-        store.  It runs after the L1D kernel, and is fed every data
-        batch verbatim, as the arrays the kernel got (int64 lines and
-        integer counts, which may be ``None``), plus the kernel's verdicts on it: the batch
-        positions where the fully-associative shadow missed
-        (:attr:`ClassifyingCache.shadow_miss_positions`, a list or an
-        int64 array), at any associativity.  Same sidecar contract:
-        ``None`` means off."""
+        with an ``on_access(lines, counts, writes, shadow_misses,
+        l2_accesses, l2_shadow_misses)`` method — the capture point for
+        the content-addressed trace store.  It runs after both kernels,
+        and is fed every data batch verbatim, as the arrays the kernel
+        got (int64 lines and integer counts, which may be ``None``),
+        plus each level's verdicts on it: the batch positions where the
+        L1D's fully-associative shadow missed, the batch's L2 access
+        count (its L1 misses), and the positions in that L2 batch where
+        the L2's shadow missed (each a list or an int64 array, from
+        :attr:`ClassifyingCache.shadow_miss_positions`, at any
+        associativity; empty when the batch did not reach the L2).
+        Same sidecar contract: ``None`` means off."""
         return self._tap
 
     @tap.setter
@@ -232,6 +235,7 @@ class CacheHierarchy:
         writes: int = 0,
         *,
         shadow_hits=None,
+        l2_shadow_hits=None,
     ) -> tuple:
         """Simulate a batch of data references; return its L1 and L2
         miss lines (L2 lines as the L2 saw them), each a list or, from a
@@ -256,6 +260,13 @@ class CacheHierarchy:
             The L1D shadow's verdicts on the batch, when a stored trace
             supplies them (see :meth:`ClassifyingCache.process`); the
             L1D then simulates no shadow of its own.
+        l2_shadow_hits:
+            The L2 shadow's verdicts, when a stored trace supplies them:
+            one per L2 access from this batch's first L1 miss on
+            (nonzero for a hit, a repeated line reading as one), of
+            which the batch takes as many as it has L1 misses; the L2
+            then simulates no shadow of its own.  Fewer verdicts than L1
+            misses raise ``ValueError``.
 
         The batch reaches the L1D kernel as the int64 array (its dict
         loop takes one ``tolist()``, its array path none), and its L1
@@ -263,14 +274,16 @@ class CacheHierarchy:
         numpy sum.
         """
         lines, counts, total = as_batch(lines, counts)
-        return self._simulate(lines, total, writes, shadow_hits)
+        return self._simulate(lines, total, writes, shadow_hits, l2_shadow_hits)
 
     def _simulate(
-        self, lines: np.ndarray, total: int, writes: int, shadow_hits
+        self, lines: np.ndarray, total: int, writes: int, shadow_hits,
+        l2_shadow_hits,
     ) -> tuple:
         """The kernel work of one checked batch of ``total`` references,
         ``writes`` of them stores: the read/write bookkeeping, then the
-        L1D, whose misses reach the L2 as one shifted int64 array."""
+        L1D, whose misses reach the L2 as one shifted int64 array, with
+        the verdicts of its run heads when ``l2_shadow_hits`` is given."""
         check_writes(writes, total)
         self._data_reads += total - writes
         self._data_writes += writes
@@ -286,7 +299,15 @@ class CacheHierarchy:
             l2_lines = [
                 mapper.translate_line(line, bits) for line in l2_lines.tolist()
             ]
-        return l1_misses, self.l2.process(l2_lines)
+        if l2_shadow_hits is not None:
+            verdicts = l2_shadow_hits[:len(l2_lines)]
+            if len(verdicts) != len(l2_lines):
+                raise ValueError(
+                    f"{len(verdicts)} L2 shadow verdicts for a batch of "
+                    f"{len(l2_lines)} L1 misses"
+                )
+            l2_shadow_hits = verdicts[run_heads(l2_lines)]
+        return l1_misses, self.l2.process(l2_lines, shadow_hits=l2_shadow_hits)
 
     def _access_data_instrumented(
         self,
@@ -295,12 +316,13 @@ class CacheHierarchy:
         writes: int = 0,
         *,
         shadow_hits=None,
+        l2_shadow_hits=None,
     ) -> tuple:
         """:meth:`access_data` plus the sidecar hooks.
 
         Installed as the instance's ``access_data`` while any sidecar is
         attached (see :meth:`_rebind_access_data`): the plain kernel
-        simulates the batch, then the tap records it with the L1D's
+        simulates the batch, then the tap records it with both levels'
         shadow verdicts, and the oracle, observer and profiler look at
         the result.  The tap and the profiler get the batch as the
         kernel did, as :func:`as_batch` leaves it (``counts`` may be
@@ -310,10 +332,16 @@ class CacheHierarchy:
         """
         lines, counts, total = as_batch(lines, counts)
         accesses = self.l1d.stats.accesses
-        l1_misses, l2_misses = self._simulate(lines, total, writes, shadow_hits)
+        l1_misses, l2_misses = self._simulate(
+            lines, total, writes, shadow_hits, l2_shadow_hits
+        )
         if self._tap is not None:
+            # A batch without L1 misses never reached the L2, whose
+            # positions are still the previous batch's.
             self._tap.on_access(
-                lines, counts, writes, self.l1d.shadow_miss_positions
+                lines, counts, writes, self.l1d.shadow_miss_positions,
+                len(l1_misses),
+                self.l2.shadow_miss_positions if len(l1_misses) else [],
             )
         if self._oracle is not None:
             self._oracle.after_batch(self)

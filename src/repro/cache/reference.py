@@ -20,9 +20,9 @@ verdicts and contents (:func:`repro.cache.classify.set_lru_misses`,
 whose contents are this class's sets, one after another, each least
 recently used first).  :func:`shadow_hit_bits` is the spec of the
 shadow's verdicts (:func:`repro.cache.classify.lru_hits`) and of the
-trace store's shadow annotation, which must equal the live kernel's
-verdicts at every associativity: replay feeds it back to the kernel
-in place of the shadow.
+trace store's shadow annotations, the L1D's and the L2's, which must
+equal the live kernels' verdicts at every associativity: replay feeds
+them back to the kernels in place of the shadows.
 
 Nothing in the simulator imports this module; it exists only for tests
 and benchmarks and favors obviousness over speed.
@@ -132,11 +132,14 @@ class ReferenceClassifyingCache:
 
 
 def shadow_hit_bits(dlines: np.ndarray, capacity: int) -> np.ndarray:
-    """Fully-associative-LRU hit (1) or miss (0) per entry of a
-    deduplicated stream (:func:`repro.cache.classify.run_heads`), from an
-    empty shadow of ``capacity`` lines: the spec of a stored trace's
-    shadow annotation, which the store builds from the live kernel's
-    verdicts instead (:func:`repro.trace.store.shadow_annotation`)."""
+    """Fully-associative-LRU hit (1) or miss (0) per entry of a stream,
+    from an empty shadow of ``capacity`` lines: the spec of a stored
+    trace's shadow annotations, the L1D's over the deduplicated stream
+    (:func:`repro.cache.classify.run_heads`) and the L2's over every L1
+    miss in order (a repeated line hits), which the store builds from
+    the live kernels' verdicts instead
+    (:func:`repro.trace.store.shadow_annotation`,
+    :func:`repro.trace.store.hit_bytes`)."""
     hits = np.zeros(len(dlines), dtype=np.uint8)
     shadow: list[int] = []
     for index, line in enumerate(dlines.tolist()):

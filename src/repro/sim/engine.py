@@ -168,7 +168,7 @@ class Simulator:
         — so feeding it back through a fresh hierarchy reproduces the
         cache statistics bit for bit (:func:`repro.trace.replay.replay_into`
         feeds it through ``access_data`` chunk by chunk, with the stored
-        L1D shadow verdicts).
+        L1D and L2 shadow verdicts).
         Instruction fetches only bump order-independent counters, so the
         stored totals are charged in one call; forks, dispatches and the
         final scheduling distribution come from the header, which is

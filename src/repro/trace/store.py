@@ -8,10 +8,11 @@ This module makes the stream a first-class, cachable artifact:
 * :class:`TraceCapture` is a hierarchy *tap* sidecar that keeps every
   ``access_data`` batch verbatim (run-length compression preserved, the
   recorder's line arrays uncopied) while a live simulation runs,
-  together with the live L1D kernel's shadow verdicts on it;
-* :meth:`TraceStore.put` turns those verdicts into the stored shadow
-  annotation with one numpy scatter — the fully-associative shadow is
-  simulated once, by the live kernel, never again at store time;
+  together with the live L1D and L2 kernels' shadow verdicts on it;
+* :meth:`TraceStore.put` turns those verdicts into the two stored
+  shadow annotations with one numpy scatter each — each level's
+  fully-associative shadow is simulated once, by the live kernel, never
+  again at store time, nor when the trace is replayed;
 * :func:`write_trace` serializes the captured stream plus everything
   else a :class:`~repro.sim.result.SimResult` needs (instruction
   totals, fork/dispatch counts, the final scheduling distribution) into
@@ -39,7 +40,7 @@ import importlib
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Any
 
@@ -52,8 +53,13 @@ from repro.resilience.errors import CheckpointError
 
 log = logging.getLogger("repro.campaign")
 
-#: Container magic + format version (bumped on any layout change; the
-#: version participates in the code hash indirectly via this module).
+#: Container magic + format version, bumped on any layout change that
+#: an older reader cannot skip.  This module is not in
+#: :data:`CORE_MODULES`, so editing it keeps every key: a container
+#: written at another version reads as unreadable, which
+#: :meth:`TraceStore.get` treats as a miss and :meth:`TraceStore.put`
+#: overwrites.  An array added at the end of :data:`_ARRAY_DTYPES` is no
+#: such change: a header without it reads as an empty array.
 MAGIC = b"RTRC"
 FORMAT_VERSION = 1
 
@@ -63,29 +69,49 @@ FORMAT_VERSION = 1
 MAX_TRACE_BYTES = 256 << 20
 
 #: Array layout inside the container, in file order.  ``shadow_hits``
-#: is the stored fully-associative-LRU hit annotation (one byte per
-#: *deduplicated* stream entry, the entries
+#: is the L1D's stored fully-associative-LRU hit annotation (one byte
+#: per *deduplicated* stream entry, the entries
 #: :func:`~repro.cache.classify.run_heads` keeps: a consecutive
 #: duplicate line is a guaranteed hit with no state change in either
 #: the real cache or the shadow, so the kernel's run-length fast path
-#: skips it, and replay slices the verdicts by the same mask): the shadow
-#: evolves on every access, which is inherently sequential, so the
-#: live kernel's verdicts are kept and replayed as data, and replay
-#: never simulates the shadow again.  Every L1D's object carries one;
-#: an older store's set-associative objects carry an empty annotation,
-#: and replay through a level that simulates its own shadow.
+#: skips it, and replay slices the verdicts by the same mask), and
+#: ``l2_shadow_hits`` the L2's (one byte per L2 access, that is per L1
+#: miss in stream order, a repeated line reading as a hit: a replay
+#: chunk's L2 batch exists only once its L1D has run, so the L2's
+#: verdicts are laid out per access and each chunk takes as many as it
+#: has L1 misses).  A shadow evolves on every access, which is
+#: inherently sequential, so the live kernels' verdicts are kept and
+#: replayed as data, and replay never simulates either shadow again.
+#: Every object carries both; an older store's objects carry no
+#: ``l2_shadow_hits`` (read as empty), and its set-associative L1Ds an
+#: empty ``shadow_hits``, and replay through a level that simulates its
+#: own shadow.
 _ARRAY_DTYPES = {
     "lines": "<i8",
     "counts": "<u4",
     "batch_ends": "<i8",
     "batch_writes": "<i8",
     "shadow_hits": "<u1",
+    "l2_shadow_hits": "<u1",
 }
 
 
+def hit_bytes(accesses: int, shadow_misses: np.ndarray) -> np.ndarray:
+    """One byte per access of a stream of ``accesses``, 0 at the
+    positions where a live kernel's shadow missed and 1 elsewhere, by
+    one scatter: the stored L2 annotation
+    (:meth:`TraceCapture.l2_shadow_misses`).  A repeated line is the
+    shadow's most recent, so it reads as a hit.  The spec is
+    :func:`repro.cache.reference.shadow_hit_bits` over the whole
+    stream."""
+    hits = np.ones(accesses, dtype=np.uint8)
+    hits[shadow_misses] = 0
+    return hits
+
+
 def shadow_annotation(lines: np.ndarray, shadow_misses: np.ndarray) -> np.ndarray:
-    """The stored shadow annotation of stream ``lines``: one byte per
-    entry :func:`~repro.cache.classify.run_heads` keeps, 0 where the
+    """The stored L1D shadow annotation of stream ``lines``: one byte
+    per entry :func:`~repro.cache.classify.run_heads` keeps, 0 where the
     live kernel's shadow missed and 1 where it hit, from the stream
     positions of its misses (:meth:`TraceCapture.shadow_misses`) by one
     scatter.
@@ -98,9 +124,7 @@ def shadow_annotation(lines: np.ndarray, shadow_misses: np.ndarray) -> np.ndarra
     """
     keep = run_heads(lines)
     assert keep[shadow_misses].all(), "shadow miss on a repeated line"
-    hits = np.ones(len(lines), dtype=np.uint8)
-    hits[shadow_misses] = 0
-    return hits[keep]
+    return hit_bytes(len(lines), shadow_misses)[keep]
 
 
 #: Modules whose source participates in every code hash: the trace
@@ -214,7 +238,7 @@ def trace_key_for(program, config, machine, code_footprint: int) -> TraceKey:
 
 class TraceCapture:
     """Hierarchy tap that records every data batch verbatim, with the
-    L1D kernel's shadow verdicts on it.
+    L1D and L2 kernels' shadow verdicts on it.
 
     Attach as ``hierarchy.tap`` (see
     :attr:`repro.cache.hierarchy.CacheHierarchy.tap`); each
@@ -224,24 +248,34 @@ class TraceCapture:
     batches arrive as the arrays the kernel got; the tap keeps
     each lines array as it is, uncopied, and each counts array narrowed
     to the stored ``uint32``, until :meth:`arrays` concatenates them.
-    The tap runs after the kernel, and keeps the positions where the
-    L1D's shadow missed as int64 arrays at stream offsets, one per
-    batch: they become the stored shadow annotation
-    (:func:`shadow_annotation`).
+    The tap runs after the kernels, and keeps the positions where each
+    level's shadow missed as int64 arrays at that level's stream
+    offsets, one per batch: they become the stored shadow annotations
+    (:func:`shadow_annotation` for the L1D, :func:`hit_bytes` for the
+    L2, whose stream is every L1 miss in order).
     """
 
     def __init__(self) -> None:
         self._lines: list[np.ndarray] = []
         self._counts: list[np.ndarray] = []
         self._shadow_misses: list[np.ndarray] = []
+        self._l2_shadow_misses: list[np.ndarray] = []
         self._ends: list[int] = []
         self._writes: list[int] = []
         self._length = 0
+        #: L2 accesses so far: the L1 misses of every recorded batch.
+        self.l2_accesses = 0
 
-    def on_access(self, lines, counts, writes: int, shadow_misses) -> None:
+    def on_access(
+        self, lines, counts, writes: int, shadow_misses, l2_accesses: int,
+        l2_shadow_misses,
+    ) -> None:
         """Record one simulated batch: int64 lines and integer counts
-        (``counts`` may be ``None``); ``shadow_misses`` are the batch positions where the
-        L1D's shadow missed (a list or an int64 array)."""
+        (``counts`` may be ``None``); ``shadow_misses`` are the batch
+        positions where the L1D's shadow missed, ``l2_accesses`` the
+        batch's L1 misses and ``l2_shadow_misses`` the positions among
+        them where the L2's shadow missed (each a list or an int64
+        array)."""
         # Counts narrow to the stored <u4 as they arrive, which holds
         # the tap to 12 bytes per entry until the store.
         counts = (
@@ -253,11 +287,16 @@ class TraceCapture:
             self._shadow_misses.append(
                 np.add(shadow_misses, self._length, dtype=np.int64)
             )
+        if len(l2_shadow_misses):
+            self._l2_shadow_misses.append(
+                np.add(l2_shadow_misses, self.l2_accesses, dtype=np.int64)
+            )
         self._lines.append(lines)
         self._counts.append(counts)
         self._length += len(lines)
         self._ends.append(self._length)
         self._writes.append(writes)
+        self.l2_accesses += l2_accesses
 
     @property
     def batches(self) -> int:
@@ -286,9 +325,16 @@ class TraceCapture:
 
     def shadow_misses(self) -> np.ndarray:
         """Stream positions, in order, where the L1D's shadow missed."""
-        if not self._shadow_misses:
-            return np.empty(0, np.int64)
-        return np.concatenate(self._shadow_misses)
+        return _positions(self._shadow_misses)
+
+    def l2_shadow_misses(self) -> np.ndarray:
+        """L2 stream positions (the L1 misses in order), in order, where
+        the L2's shadow missed."""
+        return _positions(self._l2_shadow_misses)
+
+
+def _positions(batches: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(batches) if batches else np.empty(0, np.int64)
 
 
 def _align(offset: int, boundary: int = 16) -> int:
@@ -385,20 +431,25 @@ def write_trace(
     Only the ``io.enospc`` fault site fires: :meth:`TraceStore.get` does
     not hash payloads, so a simulated torn or flipped container would
     replay wrong numbers silently.
+
+    Each array is copied once, into one zero-filled buffer of the size
+    :func:`container_layout` gives, whose data region is hashed in
+    place; the header's checksum is fixed-width, so the final header
+    keeps the layout's offsets.
     """
-    blobs = {
-        name: np.ascontiguousarray(arrays[name], dtype=np.dtype(dtype))
-        for name, dtype in _ARRAY_DTYPES.items()
-    }
-    data = b"".join(
-        blobs[name].tobytes().ljust(_align(blobs[name].nbytes), b"\0")
-        for name in _ARRAY_DTYPES
-    )
+    lengths = {name: len(arrays[name]) for name in _ARRAY_DTYPES}
+    total_refs = int(np.sum(arrays["counts"], dtype=np.uint64))
+    layout, size = container_layout(header, lengths, total_refs)
+    blob = bytearray(size)
+    for name, dtype in _ARRAY_DTYPES.items():
+        np.frombuffer(
+            blob, dtype=dtype, count=lengths[name],
+            offset=layout["arrays"][name]["offset"],
+        )[:] = arrays[name]
+    data_offset = layout["data_offset"]
     header, _ = container_layout(
-        header,
-        {name: len(blob) for name, blob in blobs.items()},
-        int(blobs["counts"].sum()),
-        hashlib.sha256(data).hexdigest(),
+        header, lengths, total_refs,
+        hashlib.sha256(memoryview(blob)[data_offset:]).hexdigest(),
     )
     encoded = _canonical_json(header).encode()
     prefix = (
@@ -407,7 +458,8 @@ def write_trace(
         + len(encoded).to_bytes(4, "little")
         + encoded
     )
-    blob = prefix.ljust(header["data_offset"], b"\0") + data
+    assert header["data_offset"] == data_offset >= len(prefix)
+    blob[:len(prefix)] = prefix
     atomic_write(path, blob, sites=("io.enospc",))
 
 
@@ -422,6 +474,10 @@ class StoredTrace:
     batch_ends: np.ndarray
     batch_writes: np.ndarray
     shadow_hits: np.ndarray
+    #: Empty for an older container, whose L2 replays on its own shadow.
+    l2_shadow_hits: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.uint8)
+    )
 
     @property
     def machine(self) -> str:
@@ -489,12 +545,17 @@ def read_header(path: Path) -> dict[str, Any]:
 
 
 def load_trace(path: Path) -> StoredTrace:
-    """Memory-map one container read-only (zero-copy views)."""
+    """Memory-map one container read-only (zero-copy views).  A header
+    without ``l2_shadow_hits`` (an older container) reads as an empty
+    L2 annotation."""
     header = read_header(path)
     size = path.stat().st_size
     views: dict[str, np.ndarray] = {}
     for name, dtype in _ARRAY_DTYPES.items():
         try:
+            if name == "l2_shadow_hits" and name not in header["arrays"]:
+                views[name] = np.empty(0, dtype=np.dtype(dtype))
+                continue
             geometry = header["arrays"][name]
             offset, count = geometry["offset"], geometry["count"]
         except (KeyError, TypeError) as exc:
@@ -534,6 +595,7 @@ def load_trace(path: Path) -> StoredTrace:
         batch_ends=ends,
         batch_writes=views["batch_writes"],
         shadow_hits=views["shadow_hits"],
+        l2_shadow_hits=views["l2_shadow_hits"],
     )
 
 
@@ -597,24 +659,30 @@ class TraceStore:
         """The stored trace for ``key``, or ``None`` on miss.
 
         An unreadable or mismatched object is treated as a miss (the
-        caller regenerates; the doctor reports and deletes the debris) —
-        a broken store never breaks an experiment.
+        caller regenerates and :meth:`put` replaces it; the doctor
+        reports and deletes the debris) — a broken store never breaks an
+        experiment.
         """
-        path = self.object_path(key.digest)
-        if not path.exists():
-            self.misses += 1
-            return None
         try:
-            stored = load_trace(path)
+            stored = self._load(key)
         except CheckpointError as exc:
             log.warning("trace store: ignoring unreadable object (%s)", exc)
+            stored = None
+        if stored is None:
             self.misses += 1
-            return None
-        if stored.header.get("digest") != key.digest:
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return stored
+
+    def _load(self, key: TraceKey) -> StoredTrace | None:
+        """The object at ``key``'s path if it is stored under ``key``,
+        ``None`` if there is none or it is another key's; raises
+        :class:`CheckpointError` when it is unreadable."""
+        path = self.object_path(key.digest)
+        if not path.exists():
+            return None
+        stored = load_trace(path)
+        return stored if stored.header.get("digest") == key.digest else None
 
     def put(
         self, key: TraceKey, capture: TraceCapture, result, machine,
@@ -622,22 +690,32 @@ class TraceStore:
     ) -> str | None:
         """Store a captured run under ``key``; returns the digest.
 
-        Failures degrade to ``None`` with a warning — the simulation
-        already succeeded, and a full disk must not turn that success
-        into a campaign failure.  Runs with thread faults are not stored
-        (their streams are not the program's nominal trace), nor are
-        streams over :data:`MAX_TRACE_BYTES`.
+        An object already at the key's path is kept when it loads under
+        the key (concurrent writers publish identical bytes) and
+        rewritten when it does not, so an unreadable object is a miss
+        once, not on every later run.  Failures degrade to ``None`` with
+        a warning — the simulation already succeeded, and a full disk
+        must not turn that success into a campaign failure.  Runs with
+        thread faults are not stored (their streams are not the
+        program's nominal trace), nor are streams over
+        :data:`MAX_TRACE_BYTES`.
         """
         if result.thread_faults:
             return None
         digest = key.digest
         path = self.object_path(digest)
-        if path.exists():
-            return digest
+        try:
+            if self._load(key) is not None:
+                return digest
+        except CheckpointError as exc:
+            log.warning("trace store: replacing unreadable object (%s)", exc)
         header = build_header(key, result, code_footprint, machine)
         arrays = capture.arrays()
         arrays["shadow_hits"] = shadow_annotation(
             arrays["lines"], capture.shadow_misses()
+        )
+        arrays["l2_shadow_hits"] = hit_bytes(
+            capture.l2_accesses, capture.l2_shadow_misses()
         )
         lengths = {name: len(array) for name, array in arrays.items()}
         _, size = container_layout(header, lengths, int(arrays["counts"].sum()))

@@ -33,6 +33,7 @@ from repro.trace.store import (
     StoredTrace,
     TraceCapture,
     TraceStore,
+    hit_bytes,
     shadow_annotation,
     trace_key_for,
 )
@@ -187,8 +188,19 @@ TWO_WAY_L1D = CacheConfig("L1D", size=256, line_size=32, associativity=2)
 SMALL_L2 = CacheConfig("L2", size=1024, line_size=64, associativity=2)
 
 
-def stored_stream(lines, counts, ends, writes) -> StoredTrace:
-    """An in-memory stored trace with the spec's shadow annotation."""
+def l2_stream(lines, l1d) -> np.ndarray:
+    """The L2's access stream under ``l1d``: every L1 miss of the
+    reference model, in order, shifted to L2 lines (repeats kept)."""
+    reference = ReferenceClassifyingCache(l1d)
+    misses = [line for line in lines if not reference.access(line)]
+    return np.asarray(misses, dtype=np.int64) >> (
+        SMALL_L2.line_bits - l1d.line_bits
+    )
+
+
+def stored_stream(lines, counts, ends, writes, l1d=SMALL_L1D) -> StoredTrace:
+    """An in-memory stored trace with the spec's shadow annotations of
+    both levels under ``l1d``."""
     lines = np.asarray(lines, dtype=np.int64)
     return StoredTrace(
         path=Path("synthetic.rtr"),
@@ -197,38 +209,46 @@ def stored_stream(lines, counts, ends, writes) -> StoredTrace:
         counts=np.asarray(counts, dtype=np.uint32),
         batch_ends=np.asarray(ends, dtype=np.int64),
         batch_writes=np.asarray(writes, dtype=np.int64),
-        shadow_hits=shadow_hit_bits(
-            lines[run_heads(lines)], SMALL_L1D.num_lines
+        shadow_hits=shadow_hit_bits(lines[run_heads(lines)], l1d.num_lines),
+        l2_shadow_hits=shadow_hit_bits(
+            l2_stream(lines.tolist(), l1d), SMALL_L2.num_lines
         ),
     )
 
 
-def without_annotation(stored: StoredTrace) -> StoredTrace:
-    """``stored`` as an older store keeps a set-associative L1D's
-    object: no shadow annotation, so replay runs the L1D's own shadow."""
-    return replace(stored, shadow_hits=np.empty(0, dtype=np.uint8))
+NO_VERDICTS = np.empty(0, dtype=np.uint8)
+
+#: How :func:`replay_synthetic` replays a stream: with both stored
+#: annotations, with the L1D's only (an older store's object), or with
+#: neither (an older store's set-associative L1D), so each level without
+#: one runs its own shadow.
+REPLAYS = ("both", "l1d", "neither")
 
 
-def replay_synthetic(stored, numpy_step: bool, interval: int, l1d=SMALL_L1D):
+def replay_synthetic(stored, replay: str, interval: int, l1d=SMALL_L1D):
     """Replay ``stored`` into a fresh small hierarchy under a sampler,
-    with the stored shadow verdicts (``numpy_step``) or on the L1D's own
-    shadow; return the snapshot, the compulsory history, the L1D's
-    shadow miss count, its sets' lines and the sampler's series without
-    their timestamps."""
+    as ``replay`` (one of :data:`REPLAYS`) says; return the snapshot,
+    each level's compulsory history, shadow miss count and sets' lines,
+    and the sampler's series without their timestamps."""
     hierarchy = CacheHierarchy(SMALL_L1I, l1d, SMALL_L2)
     obs = Telemetry()
     sampler = CacheSampler(obs, program="synthetic", interval=interval)
     hierarchy.observer = sampler
-    if numpy_step:
+    if replay == "both":
         replay_stream(hierarchy, stored)
+    elif replay == "l1d":
+        replay_stream(hierarchy, replace(stored, l2_shadow_hits=NO_VERDICTS))
     else:
-        replay_into(hierarchy, without_annotation(stored))
+        replay_into(hierarchy, replace(
+            stored, shadow_hits=NO_VERDICTS, l2_shadow_hits=NO_VERDICTS
+        ))
     sampler.sample(hierarchy)
-    l1 = hierarchy.l1d
-    return (
-        hierarchy.snapshot(), set(l1._seen), l1.shadow_misses,
-        [list(cache_set) for cache_set in l1.sets], sampler_series(obs),
-    )
+    levels = [
+        (set(level._seen), level.shadow_misses,
+         [list(cache_set) for cache_set in level.sets])
+        for level in (hierarchy.l1d, hierarchy.l2)
+    ]
+    return hierarchy.snapshot(), levels, sampler_series(obs)
 
 
 @st.composite
@@ -253,9 +273,10 @@ def streams(draw):
 
 
 class TestLiveAnnotation:
-    """The tap keeps the live kernel's shadow verdicts at every
-    associativity, and the annotation the store builds from them is the
-    spec's.
+    """The tap keeps the live kernels' shadow verdicts at every
+    associativity, and the annotations the store builds from them are
+    the spec's: the L1D's over the deduplicated stream, the L2's over
+    every L1 miss shifted to L2 lines.
 
     Batches cut runs of equal lines, so a batch often opens on the
     previous batch's last line (simulated by the kernel, skipped by the
@@ -285,13 +306,45 @@ class TestLiveAnnotation:
     def test_two_way_annotation_is_the_specs(self, stream):
         check_live_annotation(stream, TWO_WAY_L1D)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stream=streams(),
+        ways=st.sampled_from([1, 2, 4]),
+        array_path=st.booleans(),
+    )
+    @example(
+        stream=([3, 7, 7, 3, 3, 40], [1] * 6, [2, 2, 4, 6], [0] * 4),
+        ways=2, array_path=False,
+    )
+    def test_l2_annotation_is_the_specs(self, stream, ways, array_path):
+        # An 8-line L2 at 1, 2 and 4 ways: its batches (one per stream
+        # batch, cut at random) of at least 8 L1 misses take its array
+        # path when array_path lowers the entry threshold.
+        l2 = CacheConfig("L2", size=512, line_size=64, associativity=ways)
+        with pytest.MonkeyPatch.context() as patch:
+            if array_path:
+                patch.setattr(classify_module, "ARRAY_KERNEL_ENTRIES", 1)
+            check_live_annotation(stream, l2=l2)
 
-def check_live_annotation(stream, l1d=SMALL_L1D) -> None:
+    def test_batch_without_l1_misses_records_no_l2_positions(self):
+        # The L2 never sees a batch whose entries all hit the L1D, so
+        # its positions are still the previous batch's.
+        hierarchy = CacheHierarchy(SMALL_L1I, SMALL_L1D, SMALL_L2)
+        capture = TraceCapture()
+        hierarchy.tap = capture
+        hierarchy.access_data([0, 2, 4])
+        hierarchy.access_data([4, 4, 4])
+        assert list(hierarchy.l2.shadow_miss_positions) == [0, 1, 2]
+        assert capture.l2_accesses == 3
+        assert capture.l2_shadow_misses().tolist() == [0, 1, 2]
+
+
+def check_live_annotation(stream, l1d=SMALL_L1D, l2=SMALL_L2) -> None:
     """Feed ``stream`` through a tapped hierarchy batch by batch; the
-    tap's annotation must be the spec's, and the kernel's shadow miss
-    positions the reference's."""
+    tap's annotations must be the spec's, and the L1D kernel's shadow
+    miss positions the reference's."""
     lines, counts, ends, writes = stream
-    hierarchy = CacheHierarchy(SMALL_L1I, l1d, SMALL_L2)
+    hierarchy = CacheHierarchy(SMALL_L1I, l1d, l2)
     capture = TraceCapture()
     hierarchy.tap = capture
     reference = ReferenceClassifyingCache(l1d)
@@ -317,6 +370,11 @@ def check_live_annotation(stream, l1d=SMALL_L1D) -> None:
     assert hierarchy.l1d.shadow_misses == len(spec) - int(spec.sum())
     assert capture.shadow_misses().tolist() == reference_misses
 
+    l2_annotation = hit_bytes(capture.l2_accesses, capture.l2_shadow_misses())
+    l2_spec = shadow_hit_bits(l2_stream(lines, l1d), l2.num_lines)
+    assert l2_annotation.tolist() == l2_spec.tolist()
+    assert hierarchy.l2.shadow_misses == len(l2_spec) - int(l2_spec.sum())
+
 
 STEP_EXAMPLE = dict(
     stream=([3, 7, 7, 3, 40, 11, 11, 3], [1] * 8, list(range(1, 9)), [0] * 8),
@@ -326,9 +384,10 @@ STEP_EXAMPLE = dict(
 
 
 class TestNumpyStep:
-    """Replay with the stored shadow verdicts (each chunk through the
-    L1D's array path) against replay on the L1D's own shadow (chunks of
-    a few entries: its dict loop), chunk cut by chunk cut.
+    """Replay with both levels' stored shadow verdicts (each chunk
+    through both levels' array paths), with the L1D's only (the L2 on
+    its own shadow), and on both levels' own shadows (chunks of a few
+    entries: their dict loops), chunk cut by chunk cut.
 
     With chunks of a few entries, runs of equal lines straddle chunk
     cuts, lines left resident by one chunk hit in the next, and
@@ -361,9 +420,9 @@ class TestNumpyStep:
     def test_empty_stream(self):
         for ends in ([], [0, 0]):
             stored = stored_stream([], [], ends, [0] * len(ends))
-            replayed = replay_synthetic(stored, True, 1)
-            assert replayed == replay_synthetic(stored, False, 1)
-            assert replayed[0].data_refs == 0
+            replayed = [replay_synthetic(stored, how, 1) for how in REPLAYS]
+            assert replayed[0] == replayed[1] == replayed[2]
+            assert replayed[0][0].data_refs == 0
 
     def test_single_giant_batch(self, monkeypatch):
         # A chunk never splits a batch: one batch is one chunk, however
@@ -373,9 +432,9 @@ class TestNumpyStep:
         counts = rng.integers(1, 4, size=5000).tolist()
         stored = stored_stream(lines, counts, [5000], [sum(counts) // 3])
         monkeypatch.setattr(replay_module, "REPLAY_CHUNK_LINES", 4)
-        replayed = replay_synthetic(stored, True, 64)
-        assert replayed == replay_synthetic(stored, False, 64)
-        assert replayed[0].data_refs == sum(counts)
+        replayed = [replay_synthetic(stored, how, 64) for how in REPLAYS]
+        assert replayed[0] == replayed[1] == replayed[2]
+        assert replayed[0][0].data_refs == sum(counts)
 
     def test_annotation_must_match_the_stream(self):
         stored = stored_stream([1, 2, 2, 3], [1] * 4, [2, 4], [0, 1])
@@ -387,13 +446,29 @@ class TestNumpyStep:
                     replace(stored, shadow_hits=wrong),
                 )
 
+    def test_l2_annotation_must_match_the_stream(self):
+        # Three L1 misses, on L2 lines 0, 1 and 1: one verdict short
+        # fails at the chunk that runs out, one over once the stream
+        # ends.
+        stored = stored_stream([1, 2, 2, 3], [1] * 4, [2, 4], [0, 1])
+        bits = stored.l2_shadow_hits
+        assert bits.tolist() == [0, 0, 1]
+        for wrong in (bits[:-1], np.append(bits, 0)):
+            with pytest.raises(ValueError, match="L2 shadow"):
+                replay_stream(
+                    CacheHierarchy(SMALL_L1I, SMALL_L1D, SMALL_L2),
+                    replace(stored, l2_shadow_hits=wrong),
+                )
+
 
 def check_stored_verdicts(l1d, stream, chunk, interval) -> None:
-    stored = stored_stream(*stream)
+    stored = stored_stream(*stream, l1d=l1d)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(replay_module, "REPLAY_CHUNK_LINES", chunk)
-        stored_verdicts = replay_synthetic(stored, True, interval, l1d)
-        assert stored_verdicts == replay_synthetic(stored, False, interval, l1d)
+        replayed = [
+            replay_synthetic(stored, how, interval, l1d) for how in REPLAYS
+        ]
+        assert replayed[0] == replayed[1] == replayed[2]
 
 
 class TestReplayMemory:

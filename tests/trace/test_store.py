@@ -6,12 +6,16 @@ applications on a direct-mapped-L1 machine (with the stored shadow
 verdicts, with and without a telemetry sampler, and on the L1D's own
 shadow), and on a 2-way machine, whose objects store verdicts too (and
 whose older, annotation-less objects replay on their own shadow).  The
+L2's stored verdicts are held to the live L2's state on all five, and
+to replays without them, from a real container written without them
+included.  The
 comparisons ignore ``sched.seq`` (a
 process-wide dispatch ordinal that is never serialized into manifests
 or tables) and ``payload`` (replay reproduces statistics, not program
 output).
 """
 
+import json
 import multiprocessing
 from dataclasses import replace
 
@@ -24,6 +28,7 @@ from repro.apps.pde import PdeConfig, VERSIONS as PDE
 from repro.apps.sor import SorConfig, VERSIONS as SOR
 from repro.cache.reference import shadow_hit_bits
 from repro.machine.presets import r8000, r10000
+from repro.machine.spec import MachineSpec
 from repro.obs import Telemetry
 from repro.resilience.errors import CheckpointError
 from repro.sim.engine import Simulator
@@ -36,9 +41,11 @@ from repro.trace.store import (
     current_trace_store,
     load_trace,
     open_trace_store,
+    read_header,
     trace_key_for,
     trace_store_scope,
     verify_object,
+    write_trace,
 )
 from tests.conftest import sampler_series
 
@@ -97,10 +104,13 @@ def put_at_barrier(root, barrier, results):
     results.put(store.put(key, capture, live, machine, 4096))
 
 
+NO_VERDICTS = np.empty(0, dtype=np.uint8)
+
+
 def without_annotation(stored):
     """``stored`` as an older store keeps a set-associative L1D's
-    object: no shadow annotation."""
-    return replace(stored, shadow_hits=np.empty(0, dtype=np.uint8))
+    object: no shadow annotation at either level."""
+    return replace(stored, shadow_hits=NO_VERDICTS, l2_shadow_hits=NO_VERDICTS)
 
 
 def sampled_replay(machine, stored):
@@ -190,6 +200,95 @@ class TestRoundTrip:
         assert len(store.object_paths()) == 1
 
 
+@pytest.fixture()
+def built_hierarchies(monkeypatch):
+    """Every hierarchy a :class:`Simulator` builds, in order."""
+    built = []
+    real = MachineSpec.build_hierarchy
+
+    def build(self, *args, **kwargs):
+        built.append(real(self, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(MachineSpec, "build_hierarchy", build)
+    return built
+
+
+def l2_state(result, hierarchy):
+    """A run's statistics and its L2's compulsory history, shadow miss
+    count and sets' lines."""
+    l2 = hierarchy.l2
+    return (
+        result.stats, set(l2._seen), l2.shadow_misses,
+        [list(cache_set) for cache_set in l2.sets],
+    )
+
+
+def older_container(stored, path):
+    """``stored`` written at ``path`` as a store that predates the L2
+    annotation wrote it (no ``l2_shadow_hits`` in the header), loaded
+    back."""
+    older = dict(store_module._ARRAY_DTYPES)
+    del older["l2_shadow_hits"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store_module, "_ARRAY_DTYPES", older)
+        write_trace(path, stored.header, {
+            name: getattr(stored, name) for name in older
+        })
+    assert "l2_shadow_hits" not in read_header(path)["arrays"]
+    return load_trace(path)
+
+
+L2_RUNS = [(*run, r8000(64)) for run in APPS] + [
+    ("sor", SOR["threaded"], SorConfig.quick(), r10000(64)),
+]
+
+
+class TestL2Annotation:
+    """Replays with the stored L2 verdicts, with them dropped, and from
+    an older container without them leave the live run's statistics
+    and L2 state, and record one sampler series."""
+
+    @pytest.mark.parametrize(
+        "app,factory,config,machine", L2_RUNS,
+        ids=[f"{run[0]}-{run[3].name}" for run in L2_RUNS],
+    )
+    def test_three_replays_match_live(
+        self, tmp_path, built_hierarchies, app, factory, config, machine
+    ):
+        capture = TraceCapture()
+        live = Simulator(machine, verify=False).run(
+            factory(config), capture=capture
+        )
+        live_l2 = built_hierarchies[-1].l2
+        live_state = l2_state(live, built_hierarchies[-1])
+        store = TraceStore(tmp_path / "traces")
+        key = trace_key_for(factory(config), config, machine, 4096)
+        store.put(key, capture, live, machine, 4096)
+        stored = store.get(key)
+        assert len(stored.l2_shadow_hits) == live_l2.stats.accesses
+        older = older_container(stored, tmp_path / "older.rtr")
+        assert len(older.l2_shadow_hits) == 0
+        assert np.array_equal(older.shadow_hits, stored.shadow_hits)
+
+        series = []
+        for trace in (
+            stored, replace(stored, l2_shadow_hits=NO_VERDICTS), older
+        ):
+            obs = Telemetry()
+            replayed = Simulator(machine, verify=False).replay(
+                trace, telemetry=obs
+            )
+            hierarchy = built_hierarchies[-1]
+            assert_same_run(live, replayed)
+            assert l2_state(replayed, hierarchy) == live_state
+            # Only the L2 given verdicts keeps no shadow of its own.
+            assert (len(hierarchy.l2.shadow) == 0) == (trace is stored)
+            series.append(sampler_series(obs))
+        assert series[0]["cache.l2.classes"]
+        assert series[0] == series[1] == series[2]
+
+
 class TestContentAddress:
     def test_key_changes_with_config(self):
         machine = r8000(64)
@@ -237,6 +336,59 @@ class TestIntegrity:
         data[5] ^= 0xFF  # clobber the format version field
         path.write_bytes(bytes(data))
         assert store.get(key) is None
+
+    def test_unreadable_object_is_replaced_by_the_next_put(self, tmp_path):
+        # An object get rejects is rewritten by the run that regenerates
+        # it, not left to miss on every later run.
+        live, _, store, key = store_and_replay(
+            tmp_path, SOR["threaded"], SorConfig.quick(), r8000(64)
+        )
+        path = store.object_path(key.digest)
+        data = bytearray(path.read_bytes())
+        data[5] ^= 0xFF  # clobber the format version field
+        path.write_bytes(bytes(data))
+        assert store.get(key) is None
+        machine = r8000(64)
+        capture = TraceCapture()
+        rerun = Simulator(machine, verify=False).run(
+            SOR["threaded"](SorConfig.quick()), capture=capture
+        )
+        assert store.put(key, capture, rerun, machine, 4096) == key.digest
+        assert store.stores == 2
+        assert verify_object(path)["digest"] == key.digest
+        stored = store.get(key)
+        assert stored is not None
+        assert_same_run(live, Simulator(machine, verify=False).replay(stored))
+
+    def test_container_layout(self, tmp_path):
+        # MAGIC | version u32 | header length u32 | header JSON | NUL
+        # pad | each array at its recorded offset, NUL-padded to 16
+        # bytes; the header's checksum covers the data region.
+        _, _, store, key = store_and_replay(
+            tmp_path, SOR["threaded"], SorConfig.quick(), r8000(64)
+        )
+        path = store.object_path(key.digest)
+        data = path.read_bytes()
+        header = verify_object(path)
+        length = int.from_bytes(data[8:12], "little")
+        assert data[:4] == b"RTRC"
+        assert int.from_bytes(data[4:8], "little") == 1
+        assert json.loads(data[12:12 + length]) == header
+        stored = load_trace(path)
+        end = 12 + length
+        arrays = sorted(
+            header["arrays"].items(), key=lambda item: item[1]["offset"]
+        )
+        assert [name for name, _ in arrays] == list(store_module._ARRAY_DTYPES)
+        assert arrays[0][1]["offset"] == header["data_offset"]
+        for name, geometry in arrays:
+            offset = geometry["offset"]
+            assert offset % 16 == 0 and not any(data[end:offset])
+            array = np.asarray(getattr(stored, name))
+            assert len(array) == geometry["count"]
+            end = offset + array.nbytes
+            assert data[offset:end] == array.tobytes()
+        assert len(data) == -(-end // 16) * 16 and not any(data[end:])
 
     def test_verify_object_catches_payload_flips(self, tmp_path):
         _, _, store, key = store_and_replay(
